@@ -4,14 +4,13 @@
  *
  * The topology, trace, host variants and sweep axes that used to be
  * hard-coded here live in bench/scenarios/cluster_scale.scenario;
- * this main keeps the historical CLI (--quick, --threads) and runs
- * the scenario through the shared sweep runner. See the scenario file
- * for the experiment's rationale; the regenerated CSV is
- * byte-identical to what the hand-rolled main produced.
+ * this main keeps the historical --quick flag and runs the scenario
+ * through the shared sweep runner. See the scenario file for the
+ * experiment's rationale; the regenerated CSV is byte-identical to
+ * what the hand-rolled main produced.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench/scenario_cli.hh"
@@ -20,21 +19,14 @@ int
 main(int argc, char **argv)
 {
     // --quick: fewer devices and requests (CI-style smoke runs).
-    // --threads N: co-simulation workers (0 = hardware concurrency).
-    // The thread count is a wall-clock knob only; the CSV is
-    // byte-identical for every value.
     pipellm::scenario::RunOptions opts;
     opts.progress = benchutil::printingSink();
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--quick") {
             opts.quick = true;
-        } else if (arg == "--threads" && i + 1 < argc) {
-            opts.threads = std::atoi(argv[++i]);
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--quick] [--threads N]\n",
-                         argv[0]);
+            std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
             return 2;
         }
     }

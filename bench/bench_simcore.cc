@@ -1,44 +1,27 @@
 /**
  * @file
  * Wall-clock microbenchmarks of the simulator's own building blocks
- * (google-benchmark), plus a throughput sweep of the sharded scheduler
- * core. These measure the *reproduction's* performance, not the
- * paper's: AES-GCM sealing, GHASH, the event queue, resource booking,
- * sparse-memory access — the per-simulated-transfer costs that bound
- * how large an experiment the harness can run — and how event
- * dispatch scales when replica shards run on a worker pool.
+ * (google-benchmark). These measure the *reproduction's*
+ * performance, not the paper's: AES-GCM sealing, the secure channel,
+ * the event queue, resource booking, sparse-memory access — the
+ * per-simulated-transfer costs that bound how large an experiment
+ * the harness can run. End-to-end and per-layer wall clock of whole
+ * scenarios is perfbench's job (perfbench/README.md).
  *
- * The sweep writes bench_results/BENCH_simcore.json. Unlike the
- * figure CSVs, BENCH_*.json files record *host* wall-clock numbers:
- * they are machine-dependent by design, annotated with the measuring
- * host's concurrency, and regenerated rather than diffed byte-for-
- * byte (see README).
- *
- *   bench_simcore [--quick] [gbench flags...]
+ *   bench_simcore [gbench flags...]
  */
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
-#include <filesystem>
+#include <cstdint>
 #include <functional>
-#include <memory>
-#include <queue>
-#include <string>
 #include <vector>
 
 #include "crypto/channel.hh"
 #include "crypto/gcm.hh"
-#include "llm/model.hh"
 #include "mem/sparse_memory.hh"
-#include "runtime/cc_runtime.hh"
-#include "serving/cluster.hh"
 #include "sim/event_queue.hh"
 #include "sim/resource.hh"
-#include "sim/sharded_scheduler.hh"
-#include "sim/worker_pool.hh"
-#include "trace/generator.hh"
 
 using namespace pipellm;
 
@@ -186,360 +169,6 @@ BM_SparseMemorySyntheticRead(benchmark::State &state)
 }
 BENCHMARK(BM_SparseMemorySyntheticRead);
 
-// --- sharded-scheduler throughput sweep -> BENCH_simcore.json ---
-
-double
-seconds(std::chrono::steady_clock::duration d)
-{
-    return std::chrono::duration<double>(d).count();
-}
-
-/** A dash of per-event work standing in for one engine iteration. */
-std::uint64_t
-spin(std::uint64_t x, unsigned rounds)
-{
-    for (unsigned i = 0; i < rounds; ++i) {
-        x ^= x >> 33;
-        x *= 0xff51afd7ed558ccdull;
-        x ^= x >> 29;
-    }
-    return x;
-}
-
-constexpr unsigned workRounds = 64;
-
-struct Chain
-{
-    sim::EventQueue *queue = nullptr;
-    std::uint64_t remaining = 0;
-    std::uint64_t acc = 0;
-};
-
-void
-chainStep(Chain *chain)
-{
-    chain->acc = spin(chain->acc + 1, workRounds);
-    if (--chain->remaining) {
-        chain->queue->scheduleIn(1 + (chain->acc & 7),
-                                 [chain] { chainStep(chain); });
-    }
-}
-
-/**
- * The pre-refactor event core, kept as a measured baseline: one
- * std::function per event in a binary-heap priority queue, no node
- * pooling. The sweep reports the pooled pairing-heap core's
- * events/sec against this.
- */
-class ReferenceQueue
-{
-  public:
-    void
-    schedule(Tick when, std::function<void()> fn)
-    {
-        heap_.push(Ev{when, seq_++, std::move(fn)});
-    }
-
-    void
-    scheduleIn(Tick delay, std::function<void()> fn)
-    {
-        schedule(now_ + delay, std::move(fn));
-    }
-
-    void
-    run()
-    {
-        while (!heap_.empty()) {
-            Ev ev = heap_.top();
-            heap_.pop();
-            now_ = ev.when;
-            ev.fn();
-        }
-    }
-
-  private:
-    struct Ev
-    {
-        Tick when;
-        std::uint64_t seq;
-        std::function<void()> fn;
-    };
-    struct Later
-    {
-        bool
-        operator()(const Ev &a, const Ev &b) const
-        {
-            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-        }
-    };
-    std::priority_queue<Ev, std::vector<Ev>, Later> heap_;
-    Tick now_ = 0;
-    std::uint64_t seq_ = 0;
-};
-
-struct RefChain
-{
-    ReferenceQueue *queue = nullptr;
-    std::uint64_t remaining = 0;
-    std::uint64_t acc = 0;
-};
-
-void
-refChainStep(RefChain *chain)
-{
-    chain->acc = spin(chain->acc + 1, workRounds);
-    if (--chain->remaining) {
-        chain->queue->scheduleIn(1 + (chain->acc & 7),
-                                 [chain] { refChainStep(chain); });
-    }
-}
-
-/** events/sec of @p shards reference queues drained back to back. */
-double
-referenceEventsPerSec(unsigned shards, std::uint64_t events_per_chain)
-{
-    std::vector<ReferenceQueue> queues(shards);
-    std::vector<RefChain> chains(shards);
-    auto t0 = std::chrono::steady_clock::now();
-    for (unsigned s = 0; s < shards; ++s) {
-        chains[s] = RefChain{&queues[s], events_per_chain, s};
-        RefChain *chain = &chains[s];
-        queues[s].schedule(1, [chain] { refChainStep(chain); });
-    }
-    for (auto &queue : queues)
-        queue.run();
-    double wall = seconds(std::chrono::steady_clock::now() - t0);
-    return double(shards) * double(events_per_chain) / wall;
-}
-
-/** events/sec of the sharded scheduler draining the same workload. */
-double
-shardedEventsPerSec(unsigned shards, unsigned workers,
-                    std::uint64_t events_per_chain, double *wall_out)
-{
-    sim::ShardedScheduler::Config cfg;
-    cfg.workers = workers;
-    sim::ShardedScheduler sched(shards, cfg);
-    std::vector<Chain> chains(shards);
-    auto t0 = std::chrono::steady_clock::now();
-    for (unsigned s = 0; s < shards; ++s) {
-        chains[s] = Chain{&sched.shard(s), events_per_chain, s};
-        Chain *chain = &chains[s];
-        sched.shard(s).reserve(1);
-        sched.shard(s).schedule(1, [chain] { chainStep(chain); });
-    }
-    // Chains are shard-local, so the whole drain is one unbounded
-    // window — the decoupled cluster regime's shape.
-    sched.runWindow(maxTick);
-    double wall = seconds(std::chrono::steady_clock::now() - t0);
-    PIPELLM_ASSERT(sched.dispatched() ==
-                       std::uint64_t(shards) * events_per_chain,
-                   "sweep lost events");
-    if (wall_out)
-        *wall_out = wall;
-    return double(shards) * double(events_per_chain) / wall;
-}
-
-struct ClusterPoint
-{
-    unsigned replicas = 0;
-    unsigned threads = 0;
-    std::uint64_t requests = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t engine_steps = 0;
-    bool sharded = false;
-    double wall_s = 0;
-    double steps_per_sec = 0;
-    double sim_requests_per_sec = 0;
-};
-
-/** One tiny-model serving run: N CC replicas, private host. */
-ClusterPoint
-clusterPoint(unsigned replicas, unsigned threads,
-             std::size_t requests_per_replica)
-{
-    llm::ModelConfig model;
-    model.name = "tiny";
-    model.num_layers = 8;
-    model.hidden = 1024;
-    model.heads = 16;
-    model.vocab = 32000;
-    model.max_positions = 512;
-
-    auto spec = gpu::SystemSpec::h100();
-    spec.gpu_mem_bytes = 448 * MiB;
-
-    crypto::ChannelConfig channel;
-    channel.sample_limit = 512;
-    runtime::Platform platform(spec, channel, replicas);
-
-    serving::ClusterConfig cfg;
-    cfg.engine.model = model;
-    cfg.engine.parallel_sampling = 2;
-    cfg.engine.gpu_reserved_bytes = 160 * MiB;
-    cfg.policy = serving::RoutePolicy::RoundRobin;
-    cfg.threads = threads;
-
-    serving::ClusterRouter router(
-        platform,
-        [](runtime::Platform &p, runtime::DeviceId d) {
-            return std::make_unique<runtime::CcRuntime>(p, 1, d);
-        },
-        cfg);
-
-    trace::DatasetProfile profile{"simcore", 48.0, 0.4, 32.0, 0.4};
-    profile.max_len = 96;
-    trace::TraceGenerator gen(profile, 5);
-    auto trace =
-        gen.poisson(requests_per_replica * replicas, 40.0 * replicas);
-
-    auto t0 = std::chrono::steady_clock::now();
-    auto result = router.run(trace);
-    double wall = seconds(std::chrono::steady_clock::now() - t0);
-
-    ClusterPoint point;
-    point.replicas = replicas;
-    point.threads = threads;
-    point.requests = trace.size();
-    point.completed = result.completed;
-    point.engine_steps = result.engine_steps;
-    point.sharded = result.sharded;
-    point.wall_s = wall;
-    point.steps_per_sec = double(result.engine_steps) / wall;
-    point.sim_requests_per_sec = double(result.completed) / wall;
-    return point;
-}
-
-void
-runThroughputSweep(bool quick)
-{
-    const unsigned hw = sim::WorkerPool::hardwareConcurrency();
-    const std::uint64_t events_per_chain = quick ? 20'000 : 200'000;
-    const std::size_t requests_per_replica = quick ? 4 : 8;
-    std::vector<unsigned> shard_counts =
-        quick ? std::vector<unsigned>{1, 8}
-              : std::vector<unsigned>{1, 2, 4, 8, 16, 32};
-    std::vector<unsigned> worker_counts{1};
-    if (hw > 1)
-        worker_counts.push_back(hw);
-
-    std::printf("\n=== sharded scheduler throughput (host: %u "
-                "core(s)) ===\n",
-                hw);
-
-    std::filesystem::create_directories("bench_results");
-    std::FILE *json =
-        std::fopen("bench_results/BENCH_simcore.json", "w");
-    PIPELLM_ASSERT(json, "cannot open BENCH_simcore.json");
-    std::fprintf(json, "{\n");
-    std::fprintf(json, "  \"bench\": \"simcore\",\n");
-#ifdef NDEBUG
-    std::fprintf(json, "  \"build\": \"release\",\n");
-#else
-    std::fprintf(json, "  \"build\": \"debug\",\n");
-#endif
-    std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
-    std::fprintf(json, "  \"hardware_concurrency\": %u,\n", hw);
-    std::fprintf(json, "  \"hw_threads\": %u,\n", hw);
-    // On a 1-core host every workers=hw row degenerates to the
-    // sequential case; downstream tooling must not read parallel
-    // scaling out of such a record (ROADMAP item on 1-core container
-    // artifacts).
-    std::fprintf(json, "  \"parallel_scaling_valid\": %s,\n",
-                 hw > 1 ? "true" : "false");
-    if (hw == 1) {
-        std::printf("WARNING: hw_threads == 1 -- parallel-scaling "
-                    "rows are degenerate (workers=1 only); JSON is "
-                    "flagged parallel_scaling_valid=false\n");
-    }
-    std::fprintf(json, "  \"events_per_chain\": %llu,\n",
-                 (unsigned long long)events_per_chain);
-
-    // Scheduler core: events/sec for N shard-local chains, against
-    // the pre-refactor std::function/priority_queue baseline.
-    std::fprintf(json, "  \"scheduler\": [\n");
-    bool first = true;
-    for (unsigned shards : shard_counts) {
-        double ref = referenceEventsPerSec(shards, events_per_chain);
-        for (unsigned workers : worker_counts) {
-            double wall = 0;
-            double pooled = shardedEventsPerSec(shards, workers,
-                                                events_per_chain,
-                                                &wall);
-            std::printf("shards=%2u workers=%2u  %10.0f ev/s  "
-                        "(ref %10.0f, x%.2f)\n",
-                        shards, workers, pooled, ref, pooled / ref);
-            std::fprintf(
-                json,
-                "%s    {\"shards\": %u, \"workers\": %u, "
-                "\"wall_s\": %.6f, \"events_per_sec\": %.0f, "
-                "\"reference_events_per_sec\": %.0f, "
-                "\"speedup_vs_reference\": %.3f}",
-                first ? "" : ",\n", shards, workers, wall, pooled,
-                ref, pooled / ref);
-            first = false;
-        }
-    }
-    std::fprintf(json, "\n  ],\n");
-
-    // Full serving stack: simulated requests/sec and engine
-    // steps/sec as the replica count grows.
-    std::printf("\n=== cluster co-simulation throughput ===\n");
-    std::fprintf(json, "  \"cluster\": [\n");
-    first = true;
-    for (unsigned replicas : shard_counts) {
-        for (unsigned threads : worker_counts) {
-            auto p = clusterPoint(replicas, threads,
-                                  requests_per_replica);
-            std::printf("N=%2u threads=%2u  %8.1f sim req/s  "
-                        "%9.0f steps/s  (%s, %llu steps)\n",
-                        p.replicas, p.threads, p.sim_requests_per_sec,
-                        p.steps_per_sec,
-                        p.sharded ? "sharded" : "sequential",
-                        (unsigned long long)p.engine_steps);
-            std::fprintf(
-                json,
-                "%s    {\"replicas\": %u, \"threads\": %u, "
-                "\"requests\": %llu, \"completed\": %llu, "
-                "\"engine_steps\": %llu, \"sharded\": %s, "
-                "\"wall_s\": %.6f, \"steps_per_sec\": %.0f, "
-                "\"sim_requests_per_sec\": %.1f}",
-                first ? "" : ",\n", p.replicas, p.threads,
-                (unsigned long long)p.requests,
-                (unsigned long long)p.completed,
-                (unsigned long long)p.engine_steps,
-                p.sharded ? "true" : "false", p.wall_s,
-                p.steps_per_sec, p.sim_requests_per_sec);
-            first = false;
-        }
-    }
-    std::fprintf(json, "\n  ]\n}\n");
-    std::fclose(json);
-    std::printf("\nwrote bench_results/BENCH_simcore.json\n");
-}
-
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    // Strip our own flags before google-benchmark parses the rest.
-    bool quick = false;
-    std::vector<char *> passthrough{argv[0]};
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--quick")
-            quick = true;
-        else
-            passthrough.push_back(argv[i]);
-    }
-    int bench_argc = int(passthrough.size());
-    benchmark::Initialize(&bench_argc, passthrough.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                               passthrough.data()))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-
-    runThroughputSweep(quick);
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -29,15 +29,12 @@ usage(const char *prog)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--quick] [--threads N] [--out DIR] [--validate] "
+        "usage: %s [--quick] [--out DIR] [--validate] "
         "[--dump] <scenario>...\n"
         "       %s --list\n"
         "  <scenario>   a .scenario file, or a bare name resolved\n"
         "               against the repo's bench/scenarios/\n"
         "  --quick      use the *_quick sweep axes (CI smoke)\n"
-        "  --threads N  co-simulation workers (0 = hardware\n"
-        "               concurrency); wall-clock only, CSVs are\n"
-        "               byte-identical for every value\n"
         "  --out DIR    CSV output directory (default bench_results)\n"
         "  --validate   parse + validate only, run nothing\n"
         "  --dump       print the canonical round-trip text, run\n"
@@ -92,8 +89,6 @@ main(int argc, char **argv)
         std::string arg = argv[i];
         if (arg == "--quick") {
             opts.quick = true;
-        } else if (arg == "--threads" && i + 1 < argc) {
-            opts.threads = std::atoi(argv[++i]);
         } else if (arg == "--out" && i + 1 < argc) {
             opts.out_dir = argv[++i];
         } else if (arg == "--validate") {

@@ -4,8 +4,8 @@
  *
  * The scenario library itself never prints (src/ bans the printf
  * family); binaries attach the printf-backed progress sink here and
- * share the --quick/--threads/--out flag handling between pipellm_run
- * and the thin legacy wrappers.
+ * share the --quick/--out flag handling between pipellm_run and the
+ * thin legacy wrappers.
  */
 
 #ifndef PIPELLM_BENCH_SCENARIO_CLI_HH

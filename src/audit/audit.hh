@@ -289,9 +289,9 @@ class Auditor
         REQUIRES(mu_);
 
     /**
-     * The registry is process-global while replica shards step on
-     * worker threads, so every public entry point locks; the private
-     * helpers above are REQUIRES(mu_) and run under the caller's lock.
+     * The registry is process-global, so every public entry point
+     * locks for callers on any thread; the private helpers above are
+     * REQUIRES(mu_) and run under the caller's lock.
      * The hooks observe simulated time rather than influencing it, so
      * serialization here cannot perturb results.
      */

@@ -12,7 +12,7 @@
  * *below* sim/ in the layering diagram enforced by
  * tools/lint/pipellm_lint.py — also guards its registries with one.
  * sim/mutex.hh re-exports them under the sim:: namespace for the
- * concurrent simulator core.
+ * simulator core.
  */
 
 #ifndef PIPELLM_COMMON_MUTEX_HH

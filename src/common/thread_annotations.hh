@@ -2,8 +2,8 @@
  * @file
  * Clang Thread Safety Analysis annotation macros (Abseil-style).
  *
- * The concurrent core (worker pool, shared host arena, auditor) proves
- * its lock discipline at compile time: mutexes are declared as
+ * The locking code (shared host arena, page protection, auditor)
+ * proves its lock discipline at compile time: mutexes are declared as
  * capabilities, protected fields carry GUARDED_BY, and helpers that
  * assume the lock carry REQUIRES. Clang's -Wthread-safety then rejects
  * any access path that cannot show the capability is held — including

@@ -128,8 +128,8 @@ class PageProtection
         REQUIRES(mu_);
 
     /**
-     * Serializes the host arena's protection map across replica
-     * shards. A *plain* capability-annotated mutex: fault handlers
+     * Serializes the host arena's protection map for concurrent
+     * callers. A *plain* capability-annotated mutex: fault handlers
      * legitimately re-enter this class (lifting their own protection,
      * touching other protected pages while resolving), so access()
      * releases the lock around every handler dispatch — the handler

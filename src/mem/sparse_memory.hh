@@ -148,19 +148,15 @@ class SparseMemory
     std::uint8_t syntheticAt(const Region &region, Addr addr) const;
 
     /**
-     * The host arena is shared by every replica shard, so its
-     * bookkeeping (region map, bump pointer, page store) must be
-     * consistent under concurrent engine stepping. A *plain*
-     * capability-annotated mutex: read()/write() dispatch page-fault
-     * handlers *before* taking it (via PageProtection::access, which
-     * itself runs handlers unlocked), so a handler that re-enters the
-     * arena — synchronous decrypt reading the placeholder it is
-     * resolving — acquires it like any other caller instead of relying
-     * on recursive locking the compile-time analysis cannot follow.
-     * Note that parallel shards may interleave alloc() order
-     * nondeterministically — region ids and base addresses are
-     * simulation-internal identities that never influence timing, so
-     * results stay deterministic regardless.
+     * The host arena is shared by every replica, so its bookkeeping
+     * (region map, bump pointer, page store) is kept consistent for
+     * concurrent callers. A *plain* capability-annotated mutex:
+     * read()/write() dispatch page-fault handlers *before* taking it
+     * (via PageProtection::access, which itself runs handlers
+     * unlocked), so a handler that re-enters the arena — synchronous
+     * decrypt reading the placeholder it is resolving — acquires it
+     * like any other caller instead of relying on recursive locking
+     * the compile-time analysis cannot follow.
      */
     mutable common::Mutex mu_;
     std::string name_;

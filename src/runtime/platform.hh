@@ -67,12 +67,11 @@ struct HostResources
 
     /**
      * True when any knob makes the host a contended stage coupling
-     * the replicas' timelines. Coupled timelines leave zero lookahead
-     * between replicas (a bridge or lane grant can bind two replicas
-     * at the same tick), so the sharded scheduler falls back to the
-     * sequential min-clock schedule; decoupled replicas interact only
-     * at routing decisions and can run a whole arrival window in
-     * parallel.
+     * the replicas' timelines. A bridge or lane grant can bind two
+     * coupled replicas at the same tick, so the cluster router steps
+     * them on its sequential min-clock loop; decoupled replicas
+     * interact only at routing decisions, and the router runs each
+     * one up to the next arrival in turn.
      */
     bool
     coupled() const
@@ -141,20 +140,6 @@ class Platform
     /** Shorthand for device(id).gpu(). */
     gpu::GpuDevice &gpu(DeviceId id) { return device(id).gpu(); }
 
-    /** Deprecated single-device alias: device 0's GPU. */
-    [[deprecated("use device(0).gpu() / gpu(0)")]] gpu::GpuDevice &
-    device()
-    {
-        return device(0).gpu();
-    }
-
-    /** Deprecated single-device alias: device 0's CC session. */
-    [[deprecated("use device(0).channel()")]] crypto::SecureChannel &
-    channel()
-    {
-        return device(0).channel();
-    }
-
     /** The machine-wide CPU crypto lane supply. */
     crypto::CryptoEngine &cryptoEngine() { return crypto_engine_; }
 
@@ -177,10 +162,12 @@ class Platform
     const HostResources &hostResources() const { return host_res_; }
 
     /**
-     * True when replica timelines may be advanced on parallel shards:
-     * host resources are private (no zero-lookahead coupling) and the
-     * fault injector is disarmed (its RNG draw order is a machine-wide
-     * timeline the shards would otherwise race on).
+     * True when the cluster router may run each replica up to the
+     * next arrival on its own (its decoupled loop): host resources
+     * are private and the fault injector is disarmed (its RNG draw
+     * order is a machine-wide timeline, so armed runs keep the
+     * min-clock loop). The two loops agree except after a migration
+     * advances a busy decode replica's clock (ClusterRouter::run).
      */
     bool
     shardable() const

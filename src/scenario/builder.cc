@@ -100,13 +100,12 @@ ScenarioBuilder::pipeConfig(const HostVariantSpec &host) const
 }
 
 serving::ClusterConfig
-ScenarioBuilder::clusterConfig(unsigned threads) const
+ScenarioBuilder::clusterConfig() const
 {
     serving::ClusterConfig cfg;
     cfg.engine.model = model();
     cfg.engine.parallel_sampling = spec_.engine.parallel_sampling;
     cfg.policy = spec_.cluster.policy;
-    cfg.threads = threads;
     if (spec_.kind == ScenarioKind::Disagg) {
         cfg.disagg.enabled = true;
         cfg.disagg.prefill_replicas = spec_.disagg.prefill_replicas;
@@ -158,7 +157,7 @@ ScenarioBuilder::poissonTrace(std::size_t n_requests,
 BuiltCluster
 ScenarioBuilder::build(SystemMode mode, unsigned n_devices,
                        const HostVariantSpec &host, double fault_scale,
-                       unsigned threads) const
+                       unsigned) const
 {
     BuiltCluster out;
     out.platform = std::make_unique<runtime::Platform>(
@@ -167,7 +166,7 @@ ScenarioBuilder::build(SystemMode mode, unsigned n_devices,
     if (fault_scale > 0)
         out.platform->armFaults(scaledPlan(fault_scale));
 
-    auto cfg = clusterConfig(threads);
+    auto cfg = clusterConfig();
     auto pipe_cfg = pipeConfig(host);
     out.router = std::make_unique<serving::ClusterRouter>(
         *out.platform,

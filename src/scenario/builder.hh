@@ -63,9 +63,8 @@ class ScenarioBuilder
      */
     core::PipeLlmConfig pipeConfig(const HostVariantSpec &host) const;
 
-    /** ClusterConfig with the engine/policy/admission knobs set;
-     *  @p threads overrides [cluster] threads (wall-clock only). */
-    serving::ClusterConfig clusterConfig(unsigned threads) const;
+    /** ClusterConfig with the engine/policy/admission knobs set. */
+    serving::ClusterConfig clusterConfig() const;
 
     /**
      * The [faults] plan with every rate multiplied by @p scale
@@ -81,11 +80,13 @@ class ScenarioBuilder
     /**
      * Materialize one sweep point: Platform on @p host, faults armed
      * when @p fault_scale > 0, one @p mode replica per device behind
-     * the router.
+     * the router. The unnamed fifth parameter is ignored; it stays
+     * only because perfbench/perfbench.cc still passes a worker
+     * count, and goes when that file next changes.
      */
     BuiltCluster build(SystemMode mode, unsigned n_devices,
                        const HostVariantSpec &host, double fault_scale,
-                       unsigned threads) const;
+                       unsigned = 1) const;
 
     /** The chaos SoakPlan for a kind=soak scenario. */
     chaos::SoakPlan soakPlan(bool quick) const;

@@ -31,9 +31,8 @@ struct RunOptions
     /** Use the *_quick sweep axes (CI smoke). */
     bool quick = false;
     /**
-     * Co-simulation worker override: negative keeps the scenario's
-     * [cluster] threads, 0 = hardware concurrency. A wall-clock knob
-     * only — every value produces byte-identical CSVs.
+     * Ignored. It stays only because perfbench/perfbench.cc still
+     * sets it, and goes when that file next changes.
      */
     int threads = -1;
     /** Directory the CSV files land in (created if needed). */

@@ -280,12 +280,10 @@ clusterKey(Ctx &c, const std::string &key, const std::string &value)
             cl.policy = serving::RoutePolicy::LeastLoaded;
         else
             c.badValue(key, value, "round_robin/least_loaded");
-    } else if (key == "threads") {
-        c.getUnsigned(key, value, cl.threads);
     } else {
         c.err("unknown key '", key,
               "' in [cluster] (known: devices, devices_quick, modes, "
-              "policy, threads)");
+              "policy)");
     }
 }
 
@@ -803,7 +801,6 @@ dumpScenario(const ScenarioSpec &spec)
                ? "round_robin"
                : "least_loaded")
        << "\n";
-    os << "threads = " << spec.cluster.threads << "\n";
 
     os << "\n[device]\n";
     os << "spec = " << spec.device.spec << "\n";
@@ -996,12 +993,6 @@ ScenarioSpec::validate() const
     if (cluster.modes.empty())
         err("[cluster] modes is empty: list at least one system "
             "(Plain/Cc/Cc4t/Pipe/Pipe0)");
-    if (cluster.threads > max_devices && max_devices > 0) {
-        err("[cluster] threads (", cluster.threads,
-            ") exceeds the largest replica count (", max_devices,
-            "): the sharded schedule caps useful workers at one per "
-            "replica");
-    }
 
     // --- device / engine / pipe / trace presets ---
     if (!isKnown(device.spec, knownSpecs))

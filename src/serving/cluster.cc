@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 
 #include "audit/audit.hh"
 #include "common/logging.hh"
-#include "sim/sharded_scheduler.hh"
 
 namespace pipellm {
 namespace serving {
@@ -176,9 +174,8 @@ ClusterRouter::run(const trace::Trace &requests)
     // IV counters advance monotonically within a session epoch.
     KvMigrator migrator(platform_, config_.disagg.migration);
 
-    // Finished prefills land here (per source replica, so a shard
-    // only ever appends to its own vector) and are migrated at the
-    // next delivery barrier on the main thread.
+    // Finished prefills land here, per source replica, and are
+    // migrated at the next delivery barrier.
     struct Handoff
     {
         trace::Request req;
@@ -396,10 +393,8 @@ ClusterRouter::run(const trace::Trace &requests)
         }
     };
 
-    // Handoffs are processed only here — at delivery barriers, on
-    // the main thread, identically in both regimes — so resource
-    // timelines and routing state match step for step whatever the
-    // worker count.
+    // Handoffs are processed only here: at delivery barriers, and in
+    // the decoupled regime's drain sweep.
     auto processHandoffs = [&]() {
         if (!disagg)
             return;
@@ -411,7 +406,7 @@ ClusterRouter::run(const trace::Trace &requests)
         }
         if (batch.empty())
             return;
-        // Deterministic order regardless of which shard produced
+        // Deterministic order regardless of which replica produced
         // which handoff: finish tick, then source, then request id.
         std::sort(batch.begin(), batch.end(),
                   [](const Handoff &a, const Handoff &b) {
@@ -544,77 +539,30 @@ ClusterRouter::run(const trace::Trace &requests)
     if (platform_.shardable()) {
         // Decoupled regime: private host resources and a disarmed
         // injector leave the replicas independent between routing
-        // decisions, so the next arrival is a conservative lookahead
-        // horizon — every busy replica may advance to it on its own
-        // shard without observing any other. The sharded schedule
-        // below dispatches exactly the per-replica step sequence of
-        // the sequential min-clock loop (each busy replica steps
-        // until its clock first reaches the arrival; deliveries read
-        // the same clocks and loads), so the results are
-        // byte-identical for any worker count.
+        // decisions, so each busy replica runs up to the next arrival
+        // on its own, one replica after another, before the arrival
+        // is delivered.
         agg.sharded = true;
-        sim::ShardedScheduler::Config sched_cfg;
-        sched_cfg.workers = config_.threads;
-        sched_cfg.lookahead = 1;
-        sim::ShardedScheduler sched(n, sched_cfg);
-
-        // A replica's step chain: one engine scheduler iteration per
-        // event, rescheduled at the engine's own clock until it goes
-        // idle. Only the shard that owns replica d ever runs these.
-        Tick window_horizon = 0;
-        (void)window_horizon; // only read by the audit hook below
-        std::vector<std::uint8_t> armed(n, 0);
-        std::vector<std::function<void()>> steppers(n);
-        for (unsigned d = 0; d < n; ++d) {
-            steppers[d] = [&, d] {
-                auto &eng = *engines[d];
-                PIPELLM_AUDIT_HOOK(
-                    audit::Auditor::instance().noteReplicaStep(
-                        run_id, eng.clock(), window_horizon));
-                eng.stepOnce();
-                if (eng.hasWork()) {
-                    // A migrated group can put the engine's clock
-                    // behind the shard's dispatch point (its stepper
-                    // was posted at the window floor); the event time
-                    // never runs backwards even though the engine
-                    // model catches up at its own pace.
-                    sched.shard(d).schedule(
-                        std::max(eng.clock(), sched.shard(d).now()),
-                        [&steppers, d] { steppers[d](); });
-                } else {
-                    armed[d] = 0;
-                }
-            };
-        }
-        // Routing decisions reach a shard as a time-stamped message:
-        // merged at the window barrier in (tick, shard, seq) order,
-        // so the delivery-to-step handoff is deterministic by
-        // construction rather than by thread timing.
-        // Messages posted between windows must land at or past the
-        // horizon of the last window run; a decode replica that takes
-        // a finished migration can sit behind that floor, so its
-        // stepper is posted at the floor (the engine still advances
-        // from its own clock).
+        // due[d]: the tick of replica d's next step (maxTick = not
+        // armed). post_floor: the last arrival a window ran up to; a
+        // replica armed after it never steps before it.
+        std::vector<Tick> due(n, maxTick);
         Tick post_floor = 0;
-        auto armStepper = [&](unsigned d) {
-            if (armed[d] || !engines[d]->hasWork())
-                return;
-            armed[d] = 1;
-            sched.post(sched.hostShard(), d,
-                       std::max(engines[d]->clock(), post_floor),
-                       [&steppers, d] { steppers[d](); });
+        auto arm = [&](unsigned d) {
+            if (due[d] == maxTick && engines[d]->hasWork())
+                due[d] = std::max(engines[d]->clock(), post_floor);
         };
         while (true) {
             Tick arrival = next_arrival < pending.size()
                                ? pending[next_arrival].req.arrival
                                : maxTick;
-            bool any_busy = false;
+            bool any_armed = false;
             for (unsigned d = 0; d < n; ++d)
-                any_busy |= armed[d] != 0;
+                any_armed |= due[d] != maxTick;
 #if PIPELLM_AUDIT_ENABLED
             Tick frontier = arrival;
             for (unsigned d = 0; d < n; ++d) {
-                if (armed[d])
+                if (due[d] != maxTick)
                     frontier =
                         std::min(frontier, engines[d]->clock());
             }
@@ -622,9 +570,29 @@ ClusterRouter::run(const trace::Trace &requests)
                 audit::Auditor::instance().noteFrontier(run_id,
                                                         frontier);
 #endif
-            if (any_busy) {
-                window_horizon = arrival;
-                sched.runWindow(arrival);
+            if (any_armed) {
+                for (unsigned d = 0; d < n; ++d) {
+                    auto &eng = *engines[d];
+                    while (due[d] < arrival) {
+                        PIPELLM_AUDIT_HOOK(
+                            audit::Auditor::instance().noteReplicaStep(
+                                run_id, eng.clock(), arrival));
+                        eng.stepOnce();
+                        ++agg.engine_steps;
+                        // The next step is due at the engine's clock,
+                        // never before this one. submitDecode's
+                        // advanceTo moves a busy engine's clock but
+                        // not its due tick, so after a migration the
+                        // replica can step at the stale tick with its
+                        // clock already past the arrival, where the
+                        // min-clock loop would deliver the arrival
+                        // first. That lag is the only place the two
+                        // loops differ.
+                        due[d] = eng.hasWork()
+                                     ? std::max(eng.clock(), due[d])
+                                     : maxTick;
+                    }
+                }
                 post_floor = arrival;
                 for (unsigned d = 0; d < n; ++d)
                     load_[d] = engines[d]->outstandingCost();
@@ -633,24 +601,19 @@ ClusterRouter::run(const trace::Trace &requests)
                 break; // remaining handoffs settle in the drain sweep
             // Window barrier: settle prefill->decode handoffs (the
             // migrations may hand fresh work to idle replicas) before
-            // the next delivery — the same point the sequential
-            // regime uses. A no-op sweep outside disaggregated runs.
+            // the next delivery. A no-op outside disaggregated runs.
             processHandoffs();
             for (unsigned d = 0; d < n; ++d)
-                armStepper(d);
+                arm(d);
             deliver(pending[next_arrival++]);
             for (unsigned d = 0; d < n; ++d)
-                armStepper(d);
+                arm(d);
         }
-        // Drain sweep: the final window left every replica idle and
-        // closed the scheduler (nothing can be posted past a drained
-        // horizon), so migrations finishing after the last arrival
-        // hand their decode work over here and the engines run to
-        // completion inline. The decoupled regime has no shared
-        // resources, so a fixed per-replica sweep yields the same
-        // result as any interleaving — the sequential regime settles
-        // drain handoffs at the identical all-idle point.
-        std::uint64_t inline_steps = 0;
+        // Drain sweep: the final window left every replica idle, so
+        // migrations finishing after the last arrival hand their
+        // decode work over here and the engines run to completion.
+        // With no shared resources, a fixed per-replica sweep yields
+        // the same result as any interleaving.
         for (bool worked = true; worked;) {
             processHandoffs();
             worked = false;
@@ -658,19 +621,18 @@ ClusterRouter::run(const trace::Trace &requests)
                 auto &eng = *engines[d];
                 while (eng.hasWork()) {
                     eng.stepOnce();
-                    ++inline_steps;
+                    ++agg.engine_steps;
                     worked = true;
                 }
                 load_[d] = eng.outstandingCost();
             }
         }
-        agg.engine_steps = sched.dispatched() + inline_steps;
     } else {
         // Coupled regime (shared bridge, shared lane pool, or armed
-        // faults): replicas can bind at the same tick, which is a
-        // zero-lookahead schedule — the sharded protocol degenerates
-        // to exactly this sequential min-clock frontier, so it is
-        // kept verbatim (and the thread knob is ignored).
+        // faults): replicas can bind at the same tick, so they step
+        // one at a time on a min-clock frontier — always the busy
+        // replica with the smallest clock, and an arrival is
+        // delivered as soon as that clock reaches it.
         while (true) {
             // A busy replica whose clock passed its crash time dies
             // before it can step again; its orphans join the arrival
@@ -732,8 +694,7 @@ ClusterRouter::run(const trace::Trace &requests)
                 pending[next_arrival].req.arrival <=
                     engines[busiest]->clock()) {
                 // Delivery barrier: every busy replica has reached
-                // the arrival — the point matching the sharded
-                // regime's window barrier — so handoffs settle here.
+                // the arrival, so handoffs settle here.
                 processHandoffs();
                 deliver(pending[next_arrival++]);
                 continue;

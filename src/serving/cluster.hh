@@ -17,9 +17,12 @@
  * frontier, requests are delivered when the frontier reaches their
  * arrival, and routing decisions read live replica load at that
  * moment. Replicas on a contended host therefore hit the shared
- * crypto pool and host bridge in global time order; with private
- * resources the interleaving is order-independent and bit-identical
- * to simulating each replica back to back.
+ * crypto pool and host bridge in global time order. With private
+ * resources and faults disarmed, the replicas are independent
+ * between arrivals, and a decoupled loop runs each one up to the
+ * next arrival in turn (ClusterResult::sharded). The two loops agree
+ * except after a migration advances a busy decode replica's clock
+ * (see ClusterRouter::run).
  *
  * Routing is deterministic: round-robin by arrival order, or
  * least-loaded by each replica's live outstanding-token count with
@@ -32,13 +35,12 @@
  * blocks migrate to the least-loaded decode replica over a per-pair
  * encrypted link (KvMigrator), and the decode stage carries every
  * end-to-end metric. Handoffs are processed only at delivery
- * barriers — the same points in both the sharded and sequential
- * regimes — so disaggregated results stay byte-identical for every
- * worker count. Migration failures degrade gracefully: a stalled
- * stream decodes locally on the prefill replica, a destination crash
- * re-routes the migration to another live decode replica, and a
- * prefill replica that dies before its handoff is processed requeues
- * the full request through normal failover.
+ * barriers, in (finish tick, source, request id) order. Migration
+ * failures degrade gracefully: a stalled stream decodes locally on
+ * the prefill replica, a destination crash re-routes the migration
+ * to another live decode replica, and a prefill replica that dies
+ * before its handoff is processed requeues the full request through
+ * normal failover.
  *
  * Two robustness layers sit on top. A crashed replica can restart
  * (FaultPlan::replica_restart_rate): after a seeded repair delay it
@@ -158,16 +160,6 @@ struct ClusterConfig
     AdmissionConfig admission;
     /** Prefill/decode disaggregation (inert by default). */
     DisaggConfig disagg;
-    /**
-     * Worker threads for the sharded co-simulation (0 = hardware
-     * concurrency). Only the decoupled regime (private host
-     * resources, faults disarmed) actually runs shards in parallel;
-     * coupled or fault-armed runs keep the sequential min-clock
-     * schedule whatever this says. Either way the results are
-     * byte-identical for every value — the thread count is a
-     * wall-clock knob, never a model input.
-     */
-    unsigned threads = 1;
 };
 
 /** Per-replica slice of a cluster run. */
@@ -269,8 +261,8 @@ struct ClusterResult
     /**
      * Wall-clock bookkeeping for the bench harness; never part of a
      * CSV row. Engine scheduler iterations across all replicas (the
-     * co-simulation's unit of work), and whether the run used the
-     * parallel sharded schedule or the sequential min-clock one.
+     * co-simulation's unit of work), and whether the run took the
+     * decoupled per-replica loop or the sequential min-clock one.
      */
     std::uint64_t engine_steps = 0;
     bool sharded = false;

@@ -3,12 +3,10 @@
  * Discrete-event simulation core.
  *
  * Each EventQueue is an ordered event list plus a simulated clock.
- * Historically the whole reproduction ran on a single queue; the
- * sharded scheduler (sharded_scheduler.hh) now runs one queue per
- * replica shard, so a queue must be cheap: events are pool-allocated
- * intrusive pairing-heap nodes carrying a small-buffer-optimized
- * callback — steady-state scheduling touches neither malloc nor
- * std::function. Events at the same tick fire in insertion order.
+ * Events are pool-allocated intrusive pairing-heap nodes carrying a
+ * small-buffer-optimized callback, so steady-state scheduling
+ * touches neither malloc nor std::function. Events at the same tick
+ * fire in insertion order.
  */
 
 #ifndef PIPELLM_SIM_EVENT_QUEUE_HH
@@ -32,9 +30,7 @@ using EventFn = InlineFn;
  * An ordered event queue and simulated clock.
  *
  * Components schedule callbacks; run() (or runUntil()) dispatches them
- * in (tick, insertion) order while advancing now(). Not thread-safe:
- * concurrency comes from running disjoint queues on worker threads
- * (see ShardedScheduler), never from sharing one queue.
+ * in (tick, insertion) order while advancing now(). Not thread-safe.
  */
 class EventQueue
 {
@@ -89,15 +85,6 @@ class EventQueue
      * @p deadline; events at exactly @p deadline still fire.
      */
     void runUntil(Tick deadline);
-
-    /**
-     * Dispatch every event strictly before @p horizon without
-     * advancing the clock beyond the last event fired. This is the
-     * window primitive of the sharded scheduler: the horizon is a
-     * conservative lookahead bound, not a point in time this queue
-     * has reached, so an idle queue must not report now() == horizon.
-     */
-    void runBefore(Tick horizon);
 
     /** Total events dispatched over the queue's lifetime. */
     std::uint64_t dispatched() const { return dispatched_; }

@@ -4,7 +4,7 @@
  *
  * The wrappers are defined in common/mutex.hh so that layers below
  * sim/ (the auditor) can use them without inverting the include DAG;
- * the concurrent simulator core and everything above it names them as
+ * the simulator core and everything above it names them as
  * sim::Mutex / sim::LockGuard / sim::CondVar.
  */
 

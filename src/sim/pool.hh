@@ -53,8 +53,8 @@ namespace sim {
 
 /**
  * Fixed-type object pool: O(1) create/destroy, no per-object heap
- * traffic after warmup. Not thread-safe by design — each shard owns
- * its pools outright.
+ * traffic after warmup. Not thread-safe by design — each event
+ * queue owns its pool outright.
  */
 template <typename T>
 class Pool

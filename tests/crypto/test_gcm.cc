@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -102,6 +103,14 @@ const GcmVector kVectors[] = {
      "c5f61e6393ba7a0abcc9f662",
      "76fc6ece0f4e1768cddf8853bb2d551b"},
 };
+
+// Without a printer gtest dumps the struct's bytes (seven pointers)
+// into the test name, which then changes with every load address.
+void
+PrintTo(const GcmVector &v, std::ostream *os)
+{
+    *os << v.name;
+}
 
 class GcmVectors : public ::testing::TestWithParam<GcmVector>
 {

@@ -1,4 +1,4 @@
-// Fixture: ad-hoc std::thread escapes the WorkerPool protocol.
+// Fixture: an ad-hoc std::thread in a single-threaded simulator.
 #include <thread>
 
 void

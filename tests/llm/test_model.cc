@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/units.hh"
 #include "llm/model.hh"
 
@@ -25,6 +27,14 @@ const SizeCase kSizes[] = {
     {"opt175b", ModelConfig::opt175b, 175.0, 350.0},
     {"opt175b_int4", ModelConfig::opt175bInt4, 175.0, 87.5},
 };
+
+// Without a printer gtest dumps the struct's bytes (two pointers)
+// into the test name, which then changes with every load address.
+void
+PrintTo(const SizeCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class ModelSizes : public ::testing::TestWithParam<SizeCase>
 {

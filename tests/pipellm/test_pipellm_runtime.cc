@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "pipellm/pipellm_runtime.hh"
@@ -380,12 +381,16 @@ TEST_F(KvSwapFixture, ReorderingHandlesInBatchPermutation)
 
 namespace {
 
-/** (depth, leeway, lanes) grid point for configuration robustness. */
+/** (depth, leeway, lanes) grid point for configuration robustness.
+ *  Every field is 64-bit so the struct has no padding: gtest prints a
+ *  parameter without a printer as its raw bytes, and ctest takes that
+ *  dump into the test name, so padding would make the name vary from
+ *  build to build. */
 struct GridPoint
 {
-    unsigned depth;
+    std::uint64_t depth;
     std::uint64_t leeway;
-    unsigned lanes;
+    std::uint64_t lanes;
 };
 
 class ConfigGrid : public ::testing::TestWithParam<GridPoint>
@@ -402,9 +407,9 @@ TEST_P(ConfigGrid, CyclicWorkloadInvariantsHold)
     Platform platform;
     PipeLlmConfig config;
     config.classifier.layer_param_bytes = 2 * MiB;
-    config.pipeline_depth = depth;
+    config.pipeline_depth = static_cast<unsigned>(depth);
     config.iv_leeway = leeway;
-    config.enc_lanes = lanes;
+    config.enc_lanes = static_cast<unsigned>(lanes);
     PipeLlmRuntime rt(platform, config);
 
     std::vector<mem::Region> host;

@@ -35,18 +35,6 @@ TEST_F(TwoDeviceFixture, ContextsAreDistinctMachineSlices)
               &platform.device(1).h2dPath());
     EXPECT_EQ(platform.device(0).id(), 0u);
     EXPECT_EQ(platform.device(1).id(), 1u);
-}
-
-TEST_F(TwoDeviceFixture, DeprecatedAliasesMeanDeviceZero)
-{
-    // The aliases are [[deprecated]] but must keep working until the
-    // last out-of-tree caller migrates; this test is the one licensed
-    // user.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    EXPECT_EQ(&platform.device(), &platform.device(0).gpu());
-    EXPECT_EQ(&platform.channel(), &platform.device(0).channel());
-#pragma GCC diagnostic pop
     EXPECT_EQ(&platform.gpu(1), &platform.device(1).gpu());
 }
 

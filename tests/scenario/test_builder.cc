@@ -52,7 +52,6 @@ legacyRun(SystemMode mode, unsigned n_devices, std::size_t n_requests,
     cfg.engine.model = llm::ModelConfig::opt30b();
     cfg.engine.parallel_sampling = 6;
     cfg.policy = serving::RoutePolicy::RoundRobin;
-    cfg.threads = 1;
 
     std::uint64_t block_bytes =
         std::uint64_t(cfg.engine.block_tokens) *

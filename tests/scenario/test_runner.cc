@@ -129,27 +129,6 @@ TEST(ScenarioRunner, QuickSoakWritesAllThreeCsvs)
               std::string::npos);
 }
 
-TEST(ScenarioRunner, ThreadsOverrideNeverChangesTheCsv)
-{
-    TempOutDir out("threads");
-    auto spec = load("cluster_scale");
-
-    auto opts_one = quickOpts(out);
-    opts_one.out_dir = (out.dir / "one").string();
-    opts_one.threads = 1;
-    auto one = runScenario(spec, opts_one);
-
-    auto opts_many = quickOpts(out);
-    opts_many.out_dir = (out.dir / "many").string();
-    opts_many.threads = 8;
-    auto many = runScenario(spec, opts_many);
-
-    ASSERT_EQ(one.csv_paths.size(), 1u);
-    ASSERT_EQ(many.csv_paths.size(), 1u);
-    EXPECT_EQ(slurp(one.csv_paths.front()),
-              slurp(many.csv_paths.front()));
-}
-
 TEST(ScenarioRunner, ProgressSinkReceivesSweepNarration)
 {
     TempOutDir out("progress");

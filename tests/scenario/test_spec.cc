@@ -109,16 +109,6 @@ TEST(ScenarioSpec, AllParseErrorsAreCollectedNotJustTheFirst)
     ASSERT_EQ(parsed.errors.size(), 2u);
 }
 
-TEST(ScenarioSpec, ThreadsBeyondLargestReplicaCountIsRejected)
-{
-    auto parsed =
-        parseScenario(minimalText() + "threads = 8\n");
-    ASSERT_TRUE(parsed.ok());
-    auto problems = parsed.spec.validate();
-    EXPECT_TRUE(anyContains(problems, "threads (8)"));
-    EXPECT_TRUE(anyContains(problems, "largest replica count (2)"));
-}
-
 TEST(ScenarioSpec, NegativeBridgeBandwidthIsRejected)
 {
     auto parsed = parseScenario(minimalText() +
@@ -278,7 +268,6 @@ TEST(ScenarioSpec, EveryFieldSurvivesTheDumpRoundTrip)
                                 "devices_quick = 2\n"
                                 "modes = Cc Pipe\n"
                                 "policy = least_loaded\n"
-                                "threads = 2\n"
                                 "[device]\n"
                                 "channel_sample_limit = 128\n"
                                 "[engine]\n"

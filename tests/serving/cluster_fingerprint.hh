@@ -1,7 +1,7 @@
 /**
  * @file
- * Bit-exact textual image of a ClusterResult, shared by the
- * determinism suite and the scenario builder-equivalence tests.
+ * Bit-exact textual image of a ClusterResult, used by the scenario
+ * builder-equivalence tests.
  */
 
 #ifndef PIPELLM_TESTS_SERVING_CLUSTER_FINGERPRINT_HH

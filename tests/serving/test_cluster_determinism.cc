@@ -1,25 +1,17 @@
 /**
  * @file
- * Worker-count independence of the sharded cluster co-simulation.
+ * Which co-simulation loop a cluster run takes.
  *
- * The contract: `ClusterConfig::threads` is a wall-clock knob, never a
- * model input. A run's full observable result — every latency sample,
- * completion tick, byte counter and per-replica report, i.e. exactly
- * the material the bench CSVs are printed from — must be bit-identical
- * whether the shards run on one worker or eight, and whether the
- * platform takes the parallel sharded schedule (decoupled: private
- * host resources, faults disarmed) or falls back to the sequential
- * min-clock loop (coupled host, or armed injector).
+ * A decoupled platform (private host resources, faults disarmed)
+ * runs each replica up to the next arrival in turn; a coupled host or
+ * an armed injector keeps the sequential min-clock loop.
  */
 
 #include <gtest/gtest.h>
 
-#include <string>
-
 #include "fault/fault.hh"
 #include "runtime/cc_runtime.hh"
 #include "serving/cluster.hh"
-#include "tests/serving/cluster_fingerprint.hh"
 #include "tests/serving/serving_fixture.hh"
 #include "trace/generator.hh"
 
@@ -58,8 +50,8 @@ ccFactory()
 
 /** One full serving run on a fresh platform. */
 ClusterResult
-serve(unsigned threads, const runtime::HostResources &host,
-      const fault::FaultPlan *plan)
+serve(const runtime::HostResources &host, const fault::FaultPlan *plan,
+      bool disagg = false)
 {
     runtime::Platform platform(tinyGpu(448 * MiB),
                                crypto::ChannelConfig{}, 2, host);
@@ -68,7 +60,7 @@ serve(unsigned threads, const runtime::HostResources &host,
     ClusterConfig cfg;
     cfg.engine = swapHeavyEngine();
     cfg.policy = RoutePolicy::RoundRobin;
-    cfg.threads = threads;
+    cfg.disagg.enabled = disagg;
     ClusterRouter router(platform, ccFactory(), cfg);
     return router.run(burstTrace());
 }
@@ -77,36 +69,19 @@ serve(unsigned threads, const runtime::HostResources &host,
 
 TEST(ClusterDeterminism, DecoupledRunTakesTheShardedSchedule)
 {
-    auto r = serve(1, runtime::HostResources{}, nullptr);
+    auto r = serve(runtime::HostResources{}, nullptr);
     EXPECT_TRUE(r.sharded);
     EXPECT_GT(r.engine_steps, 0u);
     EXPECT_EQ(r.completed, 16u);
-}
-
-TEST(ClusterDeterminism, WorkerCountNeverChangesDecoupledResults)
-{
-    auto one = serve(1, runtime::HostResources{}, nullptr);
-    auto eight = serve(8, runtime::HostResources{}, nullptr);
-    auto hw = serve(0, runtime::HostResources{}, nullptr);
-    ASSERT_TRUE(one.sharded);
-    ASSERT_TRUE(eight.sharded);
-    EXPECT_EQ(fingerprint(one), fingerprint(eight));
-    EXPECT_EQ(fingerprint(one), fingerprint(hw));
-    // The sharded schedule performs exactly the same engine steps
-    // regardless of how many workers execute it.
-    EXPECT_EQ(one.engine_steps, eight.engine_steps);
 }
 
 TEST(ClusterDeterminism, CoupledHostFallsBackAndIgnoresThreads)
 {
     runtime::HostResources host;
     host.shared_crypto_lanes = 1;
-    auto one = serve(1, host, nullptr);
-    auto eight = serve(8, host, nullptr);
-    EXPECT_FALSE(one.sharded);
-    EXPECT_FALSE(eight.sharded);
-    EXPECT_GT(one.engine_steps, 0u);
-    EXPECT_EQ(fingerprint(one), fingerprint(eight));
+    auto r = serve(host, nullptr);
+    EXPECT_FALSE(r.sharded);
+    EXPECT_GT(r.engine_steps, 0u);
 }
 
 TEST(ClusterDeterminism, ArmedInjectorFallsBackAndIgnoresThreads)
@@ -116,9 +91,12 @@ TEST(ClusterDeterminism, ArmedInjectorFallsBackAndIgnoresThreads)
     fault::FaultPlan plan;
     plan.seed = 7;
     plan.tag_corruption_rate = 0.02;
-    auto one = serve(1, runtime::HostResources{}, &plan);
-    auto eight = serve(8, runtime::HostResources{}, &plan);
-    EXPECT_FALSE(one.sharded);
-    EXPECT_FALSE(eight.sharded);
-    EXPECT_EQ(fingerprint(one), fingerprint(eight));
+    EXPECT_FALSE(serve(runtime::HostResources{}, &plan).sharded);
+
+    // Armed migration faults keep a disaggregated run there too.
+    fault::FaultPlan migration;
+    migration.seed = 21;
+    migration.migration_tag_rate = 0.05;
+    migration.migration_stall_rate = 0.02;
+    EXPECT_FALSE(serve(runtime::HostResources{}, &migration, true).sharded);
 }

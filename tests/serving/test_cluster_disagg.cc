@@ -1,17 +1,14 @@
 /**
  * @file
- * Disaggregated prefill/decode serving: role-partitioned routing,
- * prefill->decode handoff via encrypted KV migration, and the
- * worker-count independence contract extended to disaggregated runs.
+ * Disaggregated prefill/decode serving: role-partitioned routing and
+ * prefill->decode handoff via encrypted KV migration.
  */
 
 #include <gtest/gtest.h>
 
-#include "fault/fault.hh"
 #include "runtime/cc_runtime.hh"
 #include "serving/cluster.hh"
 #include "serving/vllm.hh"
-#include "tests/serving/cluster_fingerprint.hh"
 #include "tests/serving/serving_fixture.hh"
 #include "trace/generator.hh"
 
@@ -49,18 +46,14 @@ ccFactory()
 }
 
 ClusterResult
-serveDisagg(unsigned threads, unsigned devices,
-            const fault::FaultPlan *plan, unsigned prefill_replicas = 0)
+serveDisagg(unsigned devices, unsigned prefill_replicas = 0)
 {
     runtime::Platform platform(tinyGpu(448 * MiB),
                                crypto::ChannelConfig{}, devices,
                                runtime::HostResources{});
-    if (plan)
-        platform.armFaults(*plan);
     ClusterConfig cfg;
     cfg.engine = disaggEngine();
     cfg.policy = RoutePolicy::LeastLoaded;
-    cfg.threads = threads;
     cfg.disagg.enabled = true;
     cfg.disagg.prefill_replicas = prefill_replicas;
     ClusterRouter router(platform, ccFactory(), cfg);
@@ -71,7 +64,7 @@ serveDisagg(unsigned threads, unsigned devices,
 
 TEST(ClusterDisagg, EveryRequestMigratesAndCompletes)
 {
-    auto r = serveDisagg(1, 2, nullptr);
+    auto r = serveDisagg(2);
     EXPECT_TRUE(r.sharded);
     EXPECT_EQ(r.completed, 16u);
     EXPECT_EQ(r.dropped, 0u);
@@ -92,34 +85,10 @@ TEST(ClusterDisagg, EveryRequestMigratesAndCompletes)
     EXPECT_EQ(r.replicas[0].result.completed, 0u);
 }
 
-TEST(ClusterDisagg, WorkerCountNeverChangesDisaggResults)
-{
-    auto one = serveDisagg(1, 4, nullptr);
-    auto eight = serveDisagg(8, 4, nullptr);
-    auto hw = serveDisagg(0, 4, nullptr);
-    ASSERT_TRUE(one.sharded);
-    ASSERT_TRUE(eight.sharded);
-    EXPECT_EQ(fingerprint(one), fingerprint(eight));
-    EXPECT_EQ(fingerprint(one), fingerprint(hw));
-    EXPECT_EQ(one.engine_steps, eight.engine_steps);
-}
-
-TEST(ClusterDisagg, ArmedDisaggRunsKeepThreadIndependence)
-{
-    fault::FaultPlan plan;
-    plan.seed = 21;
-    plan.migration_tag_rate = 0.05;
-    plan.migration_stall_rate = 0.02;
-    auto one = serveDisagg(1, 4, &plan);
-    auto eight = serveDisagg(8, 4, &plan);
-    EXPECT_FALSE(one.sharded);
-    EXPECT_FALSE(eight.sharded);
-    EXPECT_EQ(fingerprint(one), fingerprint(eight));
-}
-
 TEST(ClusterDisagg, PrefillReplicaCountIsConfigurable)
 {
-    auto r = serveDisagg(1, 4, nullptr, 3);
+    auto r = serveDisagg(4, 3);
+    EXPECT_TRUE(r.sharded);
     unsigned prefill = 0;
     std::uint64_t decode_completed = 0;
     for (const auto &rep : r.replicas) {
@@ -134,7 +103,7 @@ TEST(ClusterDisagg, PrefillReplicaCountIsConfigurable)
 TEST(ClusterDisagg, SingleDeviceClusterIgnoresDisagg)
 {
     // Disaggregation needs two roles; one device serves normally.
-    auto r = serveDisagg(1, 1, nullptr);
+    auto r = serveDisagg(1);
     EXPECT_EQ(r.completed, 16u);
     EXPECT_EQ(r.faults.migrations, 0u);
     EXPECT_FALSE(r.replicas[0].prefill);
@@ -150,7 +119,6 @@ TEST(ClusterDisagg, DisabledDisaggChangesNothing)
     ClusterConfig cfg;
     cfg.engine = disaggEngine();
     cfg.policy = RoutePolicy::LeastLoaded;
-    cfg.threads = 1;
     ClusterRouter router(platform, ccFactory(), cfg);
     auto r = router.run(disaggTrace());
     EXPECT_EQ(r.completed, 16u);

@@ -8,11 +8,9 @@ tree-wide (CI) or restricted to changed files (pre-commit).
 
 Registered checks (``--list-checks`` prints this table):
 
-  File-scoped pattern checks, ported from the original
-  check_banned_apis.py gate:
-    deprecated-platform-alias  no-arg Platform::device()/channel()
+  File-scoped pattern checks:
     nondeterministic-rand-time rand()/srand()/std::time
-    raw-thread                 std::thread outside sim/worker_pool
+    raw-thread                 std::thread/jthread/async anywhere
     bench-config-drift         hand-rolled ClusterConfig in bench/
     printf-io                  printf-family I/O outside common/logging
     bare-mutex                 std::mutex & friends outside
@@ -163,7 +161,7 @@ def register_check(name, description, tree_level=False):
 
 
 # ---------------------------------------------------------------------------
-# File-scoped pattern checks (the original banned-API rules).
+# File-scoped pattern checks.
 
 COMMENT_LINE_RE = re.compile(r"^\s*(?://|\*|/\*)")
 
@@ -188,21 +186,6 @@ def pattern_check(regex, roots, allow, message):
 
 
 @register_check(
-    "deprecated-platform-alias",
-    "no-argument Platform::device()/channel() compatibility aliases")
-def check_platform_alias(ctx):
-    return pattern_check(
-        re.compile(r"\bplatform_?\.\s*(?:device|channel)\(\)"),
-        ("src", "tests", "bench", "examples"),
-        {
-            # The compatibility test exercises the aliases on purpose.
-            "tests/runtime/test_multi_device.cc",
-        },
-        "deprecated Platform::device()/channel() alias; name the device",
-    )(ctx)
-
-
-@register_check(
     "nondeterministic-rand-time",
     "rand()/srand()/std::time — all randomness goes through common/rng")
 def check_rand_time(ctx):
@@ -218,23 +201,18 @@ def check_rand_time(ctx):
 
 @register_check(
     "raw-thread",
-    "std::thread/jthread/async outside sim/worker_pool")
+    "std::thread/jthread/async anywhere in the tree")
 def check_raw_thread(ctx):
-    # Determinism rests on every worker thread being driven by the
-    # WorkerPool's barriered parallelFor; ad-hoc std::thread /
-    # std::async escapes the (tick, shard, seq) ordering protocol.
-    # WorkerPool::hardwareConcurrency() is the sanctioned wrapper for
-    # sizing decisions.
+    # The simulator runs on one thread: a run's results are a
+    # function of its inputs alone. A thread started anywhere would
+    # need its own proof that it cannot reorder simulated events.
     return pattern_check(
         re.compile(
             r"\bstd::(?:thread|jthread|async)\b"
             r"|#include\s*<(?:thread|future)>"),
         ("src", "tests", "bench", "examples"),
-        {
-            "src/sim/worker_pool.hh",
-            "src/sim/worker_pool.cc",
-        },
-        "raw threading outside sim/worker_pool",
+        set(),
+        "raw threading; the simulator is single-threaded",
     )(ctx)
 
 
@@ -245,14 +223,11 @@ def check_bench_config(ctx):
     # Figure benches describe experiments in committed .scenario files
     # and run them through scenario::runScenario; assembling a
     # ClusterConfig by hand in a bench main recreates per-experiment
-    # drift. Only the simulator-core microbenchmark stays hand-built
-    # (it measures the harness, not a paper figure).
+    # drift.
     return pattern_check(
         re.compile(r"\bserving::ClusterConfig\b|\bClusterConfig\s+\w+\s*;"),
         ("bench",),
-        {
-            "bench/bench_simcore.cc",
-        },
+        set(),
         "hand-rolled ClusterConfig assembly in bench/",
     )(ctx)
 
@@ -547,7 +522,7 @@ def check_audit_hooks(ctx):
 
 
 # ---------------------------------------------------------------------------
-# Fault-model coverage (tree-level; ported from check_banned_apis.py).
+# Fault-model coverage (tree-level).
 
 FAULT_ENUM_FILE = "src/fault/fault.hh"
 FAULT_TEST_DIR = "tests/fault"
