@@ -54,8 +54,14 @@ sweep(const llm::ModelConfig &model, const char *dataset_name,
 int
 main(int argc, char **argv)
 {
-    // --quick: fewer points (used by CI-style smoke runs).
-    bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+    // --quick: fewer points (used by CI-style smoke runs). Anything
+    // else is refused, so a typo cannot run the full sweep and
+    // overwrite the committed CSV.
+    bool quick = argc == 2 && std::string(argv[1]) == "--quick";
+    if (argc > 1 && !quick) {
+        std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
+        return 2;
+    }
 
     banner("Figure 8: vLLM normalized latency vs request rate");
     auto csv = openCsv("fig8_kvswap.csv");

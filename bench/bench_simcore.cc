@@ -3,7 +3,7 @@
  * Wall-clock microbenchmarks of the simulator's own building blocks
  * (google-benchmark). These measure the *reproduction's*
  * performance, not the paper's: AES-GCM sealing, the secure channel,
- * the event queue, resource booking, sparse-memory access — the
+ * resource booking, sparse-memory access — the
  * per-simulated-transfer costs that bound how large an experiment
  * the harness can run. End-to-end and per-layer wall clock of whole
  * scenarios is perfbench's job (perfbench/README.md).
@@ -14,13 +14,11 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "crypto/channel.hh"
 #include "crypto/gcm.hh"
 #include "mem/sparse_memory.hh"
-#include "sim/event_queue.hh"
 #include "sim/resource.hh"
 
 using namespace pipellm;
@@ -88,49 +86,11 @@ BM_ChannelSealedTransfer(benchmark::State &state)
 BENCHMARK(BM_ChannelSealedTransfer);
 
 void
-BM_EventQueueSchedule(benchmark::State &state)
-{
-    for (auto _ : state) {
-        sim::EventQueue eq;
-        eq.reserve(1000);
-        for (int i = 0; i < 1000; ++i)
-            eq.schedule(Tick(i), [] {});
-        eq.run();
-    }
-    state.SetItemsProcessed(std::int64_t(state.iterations()) * 1000);
-}
-BENCHMARK(BM_EventQueueSchedule);
-
-/**
- * The hot shape in serving runs: a single self-rescheduling chain
- * (each dispatch schedules the next event), where the pool's
- * just-freed slot is immediately recycled.
- */
-void
-BM_EventQueueChain(benchmark::State &state)
-{
-    for (auto _ : state) {
-        sim::EventQueue eq;
-        std::uint64_t remaining = 1000;
-        std::function<void()> step = [&] {
-            if (--remaining)
-                eq.scheduleIn(1, [&] { step(); });
-        };
-        eq.schedule(0, [&] { step(); });
-        eq.run();
-        benchmark::DoNotOptimize(remaining);
-    }
-    state.SetItemsProcessed(std::int64_t(state.iterations()) * 1000);
-}
-BENCHMARK(BM_EventQueueChain);
-
-void
 BM_ResourceBooking(benchmark::State &state)
 {
-    sim::EventQueue eq;
-    sim::BandwidthResource link(eq, "link", 55e9, 400);
+    sim::BandwidthResource link("link", 55e9, 400);
     for (auto _ : state) {
-        Tick t = link.submit(1 * MiB);
+        Tick t = link.submitNotBefore(0, 1 * MiB);
         benchmark::DoNotOptimize(t);
     }
     state.SetItemsProcessed(std::int64_t(state.iterations()));

@@ -2,12 +2,14 @@
  * @file
  * pipellm_run: the one driver binary for declarative scenarios.
  *
- * Every experiment the legacy bench_cluster_scale / bench_faults /
- * bench_soak mains hard-coded now lives in a committed .scenario file
- * under bench/scenarios/; this driver loads any number of them and
- * runs their sweep matrices through scenario::runScenario. Adding a
- * sweep point (a 5th replica count, another fault scale) is a
- * scenario-file edit — no C++ changes, no new binary.
+ * Every scenario experiment (cluster scaling, the fault sweep, the
+ * chaos soak, disaggregated serving) lives in a committed .scenario
+ * file under bench/scenarios/; this driver loads any number of them
+ * and runs their sweep matrices through scenario::runScenario.
+ * Adding a sweep point (a 5th replica count, another fault scale) is
+ * a scenario-file edit — no C++ changes, no new binary. The library
+ * never prints (src/ bans the printf family), so the progress sink
+ * and the error reporting live here.
  *
  *   pipellm_run bench/scenarios/cluster_scale.scenario
  *   pipellm_run --quick cluster_scale faults soak
@@ -16,13 +18,70 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
-#include "bench/scenario_cli.hh"
+#include "scenario/runner.hh"
+#include "scenario/spec.hh"
 
 namespace {
+
+/** Progress sink printing one line per message to stdout. */
+std::function<void(const std::string &)>
+printingSink()
+{
+    return [](const std::string &line) {
+        std::printf("%s\n", line.c_str());
+        std::fflush(stdout);
+    };
+}
+
+/**
+ * Resolve @p arg to a scenario path: an existing file wins; a bare
+ * name falls back to <scenario-dir>/<name>[.scenario] so
+ * `pipellm_run cluster_scale` works from any build directory.
+ */
+std::string
+resolveScenarioPath(const std::string &arg)
+{
+    if (!std::ifstream(arg).good() &&
+        arg.find('/') == std::string::npos) {
+        std::string name = arg;
+        const std::string ext = ".scenario";
+        if (name.size() < ext.size() ||
+            name.compare(name.size() - ext.size(), ext.size(), ext) !=
+                0)
+            name += ext;
+        std::string fallback =
+            std::string(PIPELLM_SCENARIO_DIR) + "/" + name;
+        if (std::ifstream(fallback).good())
+            return fallback;
+    }
+    return arg;
+}
+
+/** Load @p path or exit(1) with every parse error on stderr. */
+pipellm::scenario::ScenarioSpec
+loadScenarioOrDie(const std::string &path)
+{
+    auto parsed = pipellm::scenario::loadScenario(path);
+    if (!parsed.ok()) {
+        for (const auto &e : parsed.errors)
+            std::fprintf(stderr, "%s\n", e.c_str());
+        std::exit(1);
+    }
+    auto problems = parsed.spec.validate();
+    if (!problems.empty()) {
+        for (const auto &e : problems)
+            std::fprintf(stderr, "%s: %s\n", path.c_str(), e.c_str());
+        std::exit(1);
+    }
+    return parsed.spec;
+}
 
 int
 usage(const char *prog)
@@ -66,7 +125,7 @@ listScenarios()
     }
     std::sort(names.begin(), names.end());
     for (const auto &name : names) {
-        auto spec = benchutil::loadScenarioOrDie(
+        auto spec = loadScenarioOrDie(
             std::string(PIPELLM_SCENARIO_DIR) + "/" + name);
         std::printf("  %-24s kind %s\n", name.c_str(),
                     pipellm::scenario::toString(spec.kind));
@@ -80,7 +139,7 @@ int
 main(int argc, char **argv)
 {
     pipellm::scenario::RunOptions opts;
-    opts.progress = benchutil::printingSink();
+    opts.progress = printingSink();
     bool validate_only = false;
     bool dump_only = false;
     std::vector<std::string> files;
@@ -107,8 +166,8 @@ main(int argc, char **argv)
         return usage(argv[0]);
 
     for (const auto &file : files) {
-        std::string path = benchutil::resolveScenarioPath(file);
-        auto spec = benchutil::loadScenarioOrDie(path);
+        std::string path = resolveScenarioPath(file);
+        auto spec = loadScenarioOrDie(path);
         if (dump_only) {
             std::fputs(pipellm::scenario::dumpScenario(spec).c_str(),
                        stdout);

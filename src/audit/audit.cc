@@ -69,7 +69,6 @@ Auditor::reset()
     ledger_.clear();
     resources_.clear();
     shared_stages_.clear();
-    eq_clock_.clear();
     frontier_.clear();
 }
 
@@ -261,16 +260,16 @@ Auditor::checkLedgerDrained(const char *context)
 
 void
 Auditor::noteService(std::uint64_t res_id, const std::string &name,
-                     Tick now, Tick start, Tick done,
-                     std::uint64_t bytes)
+                     Tick start, Tick done, std::uint64_t bytes)
 {
     common::LockGuard lock(mu_);
     evaluated(Check::LaneOverlap);
+    evaluated(Check::ClockRegression);
     auto &state = resources_[res_id];
-    if (done < start || start < now) {
+    if (done < start) {
         violate(Check::ClockRegression,
                 logConcat(name, ": service interval [", start, ", ",
-                          done, "] runs backwards (now=", now, ")"));
+                          done, "] runs backwards"));
     }
     if (state.seen && start < state.last_done) {
         violate(Check::LaneOverlap,
@@ -303,19 +302,6 @@ Auditor::noteChainForward(std::uint64_t down_id,
     if (stage.name.empty())
         stage.name = down_name;
     stage.forwarded += bytes;
-}
-
-void
-Auditor::noteClockAdvance(std::uint64_t eq_id, Tick from, Tick to)
-{
-    common::LockGuard lock(mu_);
-    evaluated(Check::ClockRegression);
-    if (to < from) {
-        violate(Check::ClockRegression,
-                logConcat("event queue #", eq_id, ": clock moved from ",
-                          from, " back to ", to));
-    }
-    eq_clock_[eq_id] = to;
 }
 
 void

@@ -49,7 +49,7 @@ enum class Check : std::uint8_t
     TagLedger,
     /** Two operations overlapping on one serialized resource/lane. */
     LaneOverlap,
-    /** A per-resource or event-queue clock moved backwards. */
+    /** A resource reported service completing before it started. */
     ClockRegression,
     /** A chained stage completed before its upstream stage. */
     ChainCompletion,
@@ -83,10 +83,10 @@ struct Violation
 
 /**
  * Global invariant registry. A process-wide singleton: the hooks are
- * sprinkled across layers that share no common owner (EventQueue,
- * SecureChannel, GpuDevice, ClusterRouter), and audit state must
- * survive across Platform instances to catch cross-object reuse.
- * Tests reset() it between cases.
+ * sprinkled across layers that share no common owner (the sim
+ * resources, SecureChannel, GpuDevice, ClusterRouter), and audit
+ * state must survive across Platform instances to catch cross-object
+ * reuse. Tests reset() it between cases.
  */
 class Auditor
 {
@@ -201,14 +201,12 @@ class Auditor
 
     /**
      * Serialized resource @p res_id (BandwidthResource lane,
-     * SerialTimeline) served one request over [start, done] with the
-     * simulated clock at @p now. Checks service causality
-     * (done >= start >= now) and that the interval does not overlap
-     * the resource's previous one.
+     * SerialTimeline) served one request over [start, done]. Checks
+     * service causality (done >= start) and that the interval does
+     * not overlap the resource's previous one.
      */
     void noteService(std::uint64_t res_id, const std::string &name,
-                     Tick now, Tick start, Tick done,
-                     std::uint64_t bytes);
+                     Tick start, Tick done, std::uint64_t bytes);
 
     /**
      * An upstream stage forwarded @p bytes into shared stage
@@ -221,9 +219,6 @@ class Auditor
                           const std::string &down_name,
                           std::uint64_t bytes, Tick upstream_done,
                           Tick chain_done);
-
-    /** Event queue @p eq_id advanced from @p from to @p to. */
-    void noteClockAdvance(std::uint64_t eq_id, Tick from, Tick to);
 
     /**
      * Decryption of a ciphertext that lands at @p arrival finished at
@@ -369,7 +364,6 @@ class Auditor
     std::unordered_map<std::uint64_t, SharedStage> shared_stages_
         GUARDED_BY(mu_);
 
-    std::unordered_map<std::uint64_t, Tick> eq_clock_ GUARDED_BY(mu_);
     std::unordered_map<std::uint64_t, Tick> frontier_ GUARDED_BY(mu_);
 };
 

@@ -5,12 +5,12 @@
  * bursts against a cluster, then measures whether goodput recovered
  * after every disturbance.
  *
- * The harness is deliberately a *library* (linked by bench_soak and
- * the chaos tests) rather than a binary: the same plan/runner/metrics
- * run in CI smoke mode, under ASan, and under -DPIPELLM_AUDIT=ON,
- * where the invariant auditor traps on any (key, IV, epoch) reuse or
- * tag-ledger leak the chaos provokes — a soak that finishes IS the
- * audit assertion.
+ * The harness is deliberately a *library* (run by the scenario runner
+ * for kind = soak and by the chaos tests) rather than a binary: the
+ * same plan/runner/metrics run in CI smoke mode, under ASan, and under
+ * -DPIPELLM_AUDIT=ON, where the invariant auditor traps on any (key,
+ * IV, epoch) reuse or tag-ledger leak the chaos provokes — a soak that
+ * finishes IS the audit assertion.
  *
  * Recovery is judged from the cluster's completion-event timeline:
  * goodput is bucketed into fixed windows, each disturbance (storm

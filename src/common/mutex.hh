@@ -2,23 +2,21 @@
  * @file
  * Capability-annotated mutex primitives.
  *
- * Thin wrappers over std::mutex / std::condition_variable_any that
- * carry the Clang Thread Safety Analysis attributes from
+ * Thin wrappers over std::mutex that carry the Clang Thread Safety
+ * Analysis attributes from
  * common/thread_annotations.hh. The std types themselves carry no
  * capability, so a bare std::mutex member makes every GUARDED_BY
  * uncheckable; all lock discipline in the tree goes through these.
  *
- * They live in common/ (not sim/) because the auditor — which sits
- * *below* sim/ in the layering diagram enforced by
- * tools/lint/pipellm_lint.py — also guards its registries with one.
- * sim/mutex.hh re-exports them under the sim:: namespace for the
- * simulator core.
+ * They live in common/ because their users sit on both sides of sim/
+ * in the layering diagram enforced by tools/lint/pipellm_lint.py: the
+ * auditor guards its registries with one, and so do the shared host
+ * arena and the page-protection table in mem/.
  */
 
 #ifndef PIPELLM_COMMON_MUTEX_HH
 #define PIPELLM_COMMON_MUTEX_HH
 
-#include <condition_variable>
 #include <mutex>
 
 #include "common/thread_annotations.hh"
@@ -29,7 +27,7 @@ namespace common {
 /**
  * Exclusive capability wrapping std::mutex. Prefer LockGuard over
  * manual lock()/unlock() pairs; the manual interface exists for the
- * analysis-visible primitives LockGuard and CondVar build on.
+ * analysis-visible LockGuard to build on.
  */
 class CAPABILITY("mutex") Mutex
 {
@@ -63,34 +61,6 @@ class SCOPED_CAPABILITY LockGuard
 
   private:
     Mutex &mu_;
-};
-
-/**
- * Condition variable waiting directly on a Mutex.
- *
- * wait() atomically releases and reacquires the mutex internally, but
- * is annotated REQUIRES(mu): from the analysis' point of view the
- * capability is held across the call, which is sound for callers — the
- * guarded state may change over the wait (hence the mandatory while
- * loop around every wait), but is never accessible unlocked.
- */
-class CondVar
-{
-  public:
-    CondVar() = default;
-
-    CondVar(const CondVar &) = delete;
-    CondVar &operator=(const CondVar &) = delete;
-
-    /** Block until notified; callers re-test their predicate in a
-     *  while loop (spurious wakeups included by contract). */
-    void wait(Mutex &mu) REQUIRES(mu) { cv_.wait(mu); }
-
-    void notify_one() { cv_.notify_one(); }
-    void notify_all() { cv_.notify_all(); }
-
-  private:
-    std::condition_variable_any cv_;
 };
 
 } // namespace common

@@ -15,8 +15,8 @@
  * nothing, so the annotations are free and the tree stays portable.
  *
  * Conventions (DESIGN.md §13):
- *  - lock members are `common::Mutex` (or the `sim::Mutex` alias),
- *    never bare std::mutex — the std types carry no capability;
+ *  - lock members are `common::Mutex`, never bare std::mutex — the
+ *    std types carry no capability;
  *  - every field touched by more than one thread is GUARDED_BY its
  *    mutex;
  *  - private helpers that run under the caller's lock are named

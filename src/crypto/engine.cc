@@ -8,9 +8,9 @@
 namespace pipellm {
 namespace crypto {
 
-CryptoLanes::CryptoLanes(sim::EventQueue &eq, std::string name,
-                         unsigned width, double bytes_per_sec_per_lane)
-    : owned_(std::make_unique<sim::LaneGroup>(eq, std::move(name), width,
+CryptoLanes::CryptoLanes(std::string name, unsigned width,
+                         double bytes_per_sec_per_lane)
+    : owned_(std::make_unique<sim::LaneGroup>(std::move(name), width,
                                               bytes_per_sec_per_lane)),
       group_(owned_.get()), slot_free_(width, 0)
 {
@@ -20,12 +20,6 @@ CryptoLanes::CryptoLanes(sim::LaneGroup &pool, unsigned width)
     : owned_(nullptr), group_(&pool), slot_free_(width, 0)
 {
     PIPELLM_ASSERT(width > 0, "crypto lane view needs width >= 1");
-}
-
-Tick
-CryptoLanes::submit(std::uint64_t bytes)
-{
-    return submitNotBefore(0, bytes);
 }
 
 Tick
@@ -78,14 +72,13 @@ CryptoLanes::earliestFree() const
     return std::max(slot, group_->earliestFree());
 }
 
-CryptoEngine::CryptoEngine(sim::EventQueue &eq,
-                           double bytes_per_sec_per_lane,
+CryptoEngine::CryptoEngine(double bytes_per_sec_per_lane,
                            unsigned shared_lanes)
-    : eq_(eq), bw_per_lane_(bytes_per_sec_per_lane)
+    : bw_per_lane_(bytes_per_sec_per_lane)
 {
     if (shared_lanes > 0)
         pool_ = std::make_unique<sim::LaneGroup>(
-            eq_, "host-crypto", shared_lanes, bw_per_lane_);
+            "host-crypto", shared_lanes, bw_per_lane_);
 }
 
 CryptoLanes
@@ -93,8 +86,7 @@ CryptoEngine::acquire(const std::string &name, unsigned width)
 {
     PIPELLM_ASSERT(width > 0, "crypto client needs width >= 1: ", name);
     CryptoLanes lanes = pool_ ? CryptoLanes(*pool_, width)
-                              : CryptoLanes(eq_, name, width,
-                                            bw_per_lane_);
+                              : CryptoLanes(name, width, bw_per_lane_);
     lanes.setFaultInjector(injector_);
     return lanes;
 }

@@ -44,7 +44,7 @@ class CryptoLanes
 {
   public:
     /** Dedicated lanes, privately owned. */
-    CryptoLanes(sim::EventQueue &eq, std::string name, unsigned width,
+    CryptoLanes(std::string name, unsigned width,
                 double bytes_per_sec_per_lane);
 
     /** A @p width-wide view onto the shared pool (not owned). */
@@ -53,14 +53,14 @@ class CryptoLanes
     CryptoLanes(CryptoLanes &&) = default;
     CryptoLanes &operator=(CryptoLanes &&) = default;
 
-    /** Dispatch @p bytes to a lane; completion tick. */
-    Tick submit(std::uint64_t bytes);
-
-    /** Dispatch with a start-time floor. */
+    /**
+     * Dispatch @p bytes to a lane, starting no earlier than
+     * @p earliest; completion tick.
+     */
     Tick submitNotBefore(Tick earliest, std::uint64_t bytes);
 
     /**
-     * Earliest tick at which a request submitted now could start:
+     * Earliest tick at which the next request could start:
      * accounts for both pool availability and this client's own
      * thread width (a shared view cannot out-parallelize its width
      * even when the pool has idle lanes).
@@ -115,8 +115,8 @@ class CryptoEngine
      * @param bytes_per_sec_per_lane single-thread AES-GCM rate
      * @param shared_lanes pool size; 0 selects dedicated mode
      */
-    CryptoEngine(sim::EventQueue &eq, double bytes_per_sec_per_lane,
-                 unsigned shared_lanes = 0);
+    explicit CryptoEngine(double bytes_per_sec_per_lane,
+                          unsigned shared_lanes = 0);
 
     /** True when every acquire() shares one pool. */
     bool shared() const { return pool_ != nullptr; }
@@ -144,7 +144,6 @@ class CryptoEngine
     void setFaultInjector(fault::FaultInjector *injector);
 
   private:
-    sim::EventQueue &eq_;
     double bw_per_lane_;
     std::unique_ptr<sim::LaneGroup> pool_;
     fault::FaultInjector *injector_ = nullptr;

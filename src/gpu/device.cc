@@ -10,17 +10,13 @@
 namespace pipellm {
 namespace gpu {
 
-GpuDevice::GpuDevice(sim::EventQueue &eq, const SystemSpec &spec,
-                     const std::string &label)
-    : eq_(eq), spec_(spec),
-      mem_(label + "gpu-hbm", spec.gpu_mem_bytes),
-      pcie_h2d_(eq, label + "pcie-h2d", spec.pcie_h2d_bw,
-                spec.pcie_latency),
-      pcie_d2h_(eq, label + "pcie-d2h", spec.pcie_d2h_bw,
-                spec.pcie_latency),
-      copy_engine_crypto_(eq, label + "copy-engine-crypto",
+GpuDevice::GpuDevice(const SystemSpec &spec, const std::string &label)
+    : spec_(spec), mem_(label + "gpu-hbm", spec.gpu_mem_bytes),
+      pcie_h2d_(label + "pcie-h2d", spec.pcie_h2d_bw, spec.pcie_latency),
+      pcie_d2h_(label + "pcie-d2h", spec.pcie_d2h_bw, spec.pcie_latency),
+      copy_engine_crypto_(label + "copy-engine-crypto",
                           spec.copy_engine_crypto_bw),
-      compute_(eq, label + "sm-compute")
+      compute_(label + "sm-compute")
 {
     spec_.validate();
 }

@@ -22,7 +22,6 @@
 #include "crypto/iv.hh"
 #include "gpu/spec.hh"
 #include "mem/sparse_memory.hh"
-#include "sim/event_queue.hh"
 #include "sim/resource.hh"
 
 namespace pipellm {
@@ -46,8 +45,8 @@ class GpuDevice
      * @param label prefix for resource names, disambiguating devices
      *        in a multi-GPU platform ("" keeps the legacy names)
      */
-    GpuDevice(sim::EventQueue &eq, const SystemSpec &spec,
-              const std::string &label = "");
+    explicit GpuDevice(const SystemSpec &spec,
+                       const std::string &label = "");
 
     // --- memory ---
     mem::SparseMemory &memory() { return mem_; }
@@ -216,7 +215,6 @@ class GpuDevice
     std::uint64_t integrityFailures() const { return integrity_failures_; }
 
   private:
-    sim::EventQueue &eq_;
     SystemSpec spec_;
     mem::SparseMemory mem_;
     sim::BandwidthResource pcie_h2d_;

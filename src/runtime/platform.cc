@@ -32,15 +32,14 @@ deviceLabel(DeviceId id)
 
 } // namespace
 
-DeviceContext::DeviceContext(sim::EventQueue &eq,
-                             const gpu::SystemSpec &spec,
+DeviceContext::DeviceContext(const gpu::SystemSpec &spec,
                              const crypto::ChannelConfig &channel_cfg,
                              DeviceId id)
     : id_(id), channel_(deviceChannelConfig(channel_cfg, id)),
-      gpu_(eq, spec, deviceLabel(id)),
-      h2d_path_(eq, spec, gpu_.h2dLinkMut(), /*toward_device=*/true,
+      gpu_(spec, deviceLabel(id)),
+      h2d_path_(spec, gpu_.h2dLinkMut(), /*toward_device=*/true,
                 &gpu_.copyEngineCryptoMut()),
-      d2h_path_(eq, spec, gpu_.d2hLinkMut(), /*toward_device=*/false,
+      d2h_path_(spec, gpu_.d2hLinkMut(), /*toward_device=*/false,
                 &gpu_.copyEngineCryptoMut())
 {
 }
@@ -57,21 +56,20 @@ Platform::Platform(const gpu::SystemSpec &spec,
                    const crypto::ChannelConfig &channel_cfg,
                    unsigned num_devices, const HostResources &host)
     : spec_(spec), host_res_(host),
-      crypto_engine_(eq_, spec.cpu_crypto_bw_per_lane,
+      crypto_engine_(spec.cpu_crypto_bw_per_lane,
                      host.shared_crypto_lanes),
       host_mem_("cvm-dram", spec.host_mem_bytes)
 {
     PIPELLM_ASSERT(num_devices > 0, "a platform needs >= 1 device");
     if (host_res_.bridge_bw > 0) {
         host_bridge_ = std::make_unique<sim::BandwidthResource>(
-            eq_, "host-bridge", host_res_.bridge_bw,
-            host_res_.bridge_latency);
+            "host-bridge", host_res_.bridge_bw, host_res_.bridge_latency);
     }
     crypto_engine_.setFaultInjector(&fault_injector_);
     devices_.reserve(num_devices);
     for (unsigned i = 0; i < num_devices; ++i) {
         devices_.push_back(std::make_unique<DeviceContext>(
-            eq_, spec_, channel_cfg, DeviceId(i)));
+            spec_, channel_cfg, DeviceId(i)));
         devices_.back()->gpu().attachHostBridge(host_bridge_.get());
         devices_.back()->attachFaultInjector(&fault_injector_);
     }

@@ -33,7 +33,6 @@
 #include "gpu/spec.hh"
 #include "mem/sparse_memory.hh"
 #include "runtime/staged_path.hh"
-#include "sim/event_queue.hh"
 #include "sim/resource.hh"
 
 namespace pipellm {
@@ -88,7 +87,7 @@ struct HostResources
 class DeviceContext
 {
   public:
-    DeviceContext(sim::EventQueue &eq, const gpu::SystemSpec &spec,
+    DeviceContext(const gpu::SystemSpec &spec,
                   const crypto::ChannelConfig &channel_cfg, DeviceId id);
 
     DeviceId id() const { return id_; }
@@ -110,7 +109,11 @@ class DeviceContext
     StagedCopyPath d2h_path_;
 };
 
-/** Owns the clock, the host arena, and the device cluster. */
+/**
+ * Owns the host arena, the host-side resources and the device
+ * cluster. There is no platform clock: every resource is a
+ * reservation timeline, and each runtime carries its own time.
+ */
 class Platform
 {
   public:
@@ -127,7 +130,6 @@ class Platform
                       unsigned num_devices = 1,
                       const HostResources &host = HostResources{});
 
-    sim::EventQueue &eq() { return eq_; }
     const gpu::SystemSpec &spec() const { return spec_; }
     mem::SparseMemory &hostMem() { return host_mem_; }
 
@@ -185,7 +187,6 @@ class Platform
     void freeHost(const mem::Region &region);
 
   private:
-    sim::EventQueue eq_;
     gpu::SystemSpec spec_;
     HostResources host_res_;
     fault::FaultInjector fault_injector_;

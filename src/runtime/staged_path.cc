@@ -5,12 +5,11 @@
 namespace pipellm {
 namespace runtime {
 
-StagedCopyPath::StagedCopyPath(sim::EventQueue &eq,
-                               const gpu::SystemSpec &spec,
+StagedCopyPath::StagedCopyPath(const gpu::SystemSpec &spec,
                                sim::BandwidthResource &link,
                                bool toward_device,
                                sim::BandwidthResource *device_crypto)
-    : copy_(eq, toward_device ? "cc-copy-h2d" : "cc-copy-d2h",
+    : copy_(toward_device ? "cc-copy-h2d" : "cc-copy-d2h",
             spec.cc_copy_bw),
       link_(link), device_crypto_(device_crypto),
       pool_(spec.staging_buf_count, spec.staging_buf_bytes),

@@ -15,7 +15,6 @@
 #include "fault/fault.hh"
 #include "gpu/spec.hh"
 #include "mem/staging.hh"
-#include "sim/event_queue.hh"
 #include "sim/resource.hh"
 
 namespace pipellm {
@@ -32,7 +31,7 @@ class StagedCopyPath
      * @param device_crypto the GPU copy engine's crypto stage;
      *        pipelined per chunk when non-null
      */
-    StagedCopyPath(sim::EventQueue &eq, const gpu::SystemSpec &spec,
+    StagedCopyPath(const gpu::SystemSpec &spec,
                    sim::BandwidthResource &link, bool toward_device,
                    sim::BandwidthResource *device_crypto = nullptr);
 

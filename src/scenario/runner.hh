@@ -2,15 +2,14 @@
  * @file
  * SweepRunner: expand a scenario's sweep matrix and emit CSV rows.
  *
- * runScenario() is the engine behind the pipellm_run driver and the
- * thin legacy bench wrappers: it walks the axes a ScenarioSpec
- * declares (host variants x modes x replica counts, fault scales,
- * overload multipliers), materializes each point through
- * ScenarioBuilder, and writes the same CSV files — byte-identical
- * rows — the hand-written bench mains used to produce. Progress goes
- * through a caller-supplied sink, never stdout, so the library stays
- * inside the src/ logging discipline; binaries attach a printing
- * sink, tests attach nothing.
+ * runScenario() is the engine behind the pipellm_run driver: it
+ * walks the axes a ScenarioSpec declares (host variants x modes x
+ * replica counts, fault scales, overload multipliers), materializes
+ * each point through ScenarioBuilder, and writes the same CSV files —
+ * byte-identical rows — the hand-written bench mains used to
+ * produce. Progress goes through a caller-supplied sink, never
+ * stdout, so the library stays inside the src/ logging discipline;
+ * binaries attach a printing sink, tests attach nothing.
  */
 
 #ifndef PIPELLM_SCENARIO_RUNNER_HH

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -43,13 +44,18 @@ fmtDouble(double v)
     return std::string(buf, res.ptr);
 }
 
+/**
+ * Parse a finite double. std::from_chars also accepts "nan" and
+ * "inf", which no scenario value means and which turn into undefined
+ * behaviour once converted to ticks or bytes, so they are rejected.
+ */
 bool
 parseDoubleValue(const std::string &s, double &out)
 {
     const char *first = s.data();
     const char *last = s.data() + s.size();
     auto res = std::from_chars(first, last, out);
-    return res.ec == std::errc() && res.ptr == last;
+    return res.ec == std::errc() && res.ptr == last && std::isfinite(out);
 }
 
 bool
@@ -92,7 +98,7 @@ struct Ctx
     {
         if (parseDoubleValue(value, out))
             return true;
-        badValue(key, value, "a number");
+        badValue(key, value, "a finite number");
         return false;
     }
 
@@ -165,7 +171,7 @@ struct Ctx
         for (const auto &tok : tokens(value)) {
             double v = 0;
             if (!parseDoubleValue(tok, v)) {
-                badValue(key, tok, "a list of numbers");
+                badValue(key, tok, "a list of finite numbers");
                 return false;
             }
             parsed.push_back(v);
@@ -1056,6 +1062,12 @@ ScenarioSpec::validate() const
         err("[faults] replica_restart_rate is negative");
     if (faults.storm_multiplier < 0)
         err("[faults] storm_multiplier is negative");
+    if (faults.spdm_rekey_ms < 0)
+        err("[faults] spdm_rekey_ms is negative");
+    if (faults.warmup_probe_kib < 0)
+        err("[faults] warmup_probe_kib is negative");
+    if (faults.storm_start_s < 0)
+        err("[faults] storm_start_s is negative");
     if (faults.storm_end_s < faults.storm_start_s)
         err("[faults] storm window ends (",
             fmtDouble(faults.storm_end_s), "s) before it starts (",
@@ -1108,6 +1120,13 @@ ScenarioSpec::validate() const
             err("[overload] multipliers must be positive, got ",
                 fmtDouble(m));
     }
+    if (overload.rate_per_device <= 0)
+        err("[overload] rate_per_device must be positive, got ",
+            fmtDouble(overload.rate_per_device));
+    if (overload.slo_floor_s < 0)
+        err("[overload] slo_floor_s is negative");
+    if (overload.slo_per_token_ms < 0)
+        err("[overload] slo_per_token_ms is negative");
     if (overload.requests > 0 && overload.multipliers.empty())
         err("[overload] requests is set but multipliers is empty: "
             "list the rate multipliers to sweep");

@@ -48,13 +48,13 @@ namespace scenario {
 enum class ScenarioKind : std::uint8_t
 {
     /** Replica-scaling sweep: host variants x modes x device counts
-     *  (the bench_cluster_scale shape). */
+     *  (cluster_scale.scenario). */
     ClusterScale,
     /** Fault-intensity sweep: modes x device counts x fault scales
-     *  (the bench_faults shape). */
+     *  (faults.scenario). */
     FaultSweep,
-    /** Chaos soak + overload sweep through src/chaos (the
-     *  bench_soak shape). */
+    /** Chaos soak + overload sweep through src/chaos
+     *  (soak.scenario). */
     Soak,
     /** Disaggregated prefill/decode sweep: modes x device counts x
      *  migration-fault scales, every request migrating its KV from a

@@ -3,15 +3,16 @@
 #include <algorithm>
 #include <utility>
 
+#include "audit/audit.hh"
 #include "common/logging.hh"
 
 namespace pipellm {
 namespace sim {
 
-BandwidthResource::BandwidthResource(EventQueue &eq, std::string name,
+BandwidthResource::BandwidthResource(std::string name,
                                      double bytes_per_sec,
                                      Tick per_op_latency)
-    : eq_(eq), name_(std::move(name)), rate_(bytes_per_sec),
+    : name_(std::move(name)), rate_(bytes_per_sec),
       latency_(per_op_latency)
 {
     PIPELLM_ASSERT(rate_ > 0, "resource rate must be positive: ", name_);
@@ -19,23 +20,16 @@ BandwidthResource::BandwidthResource(EventQueue &eq, std::string name,
 }
 
 Tick
-BandwidthResource::submit(std::uint64_t bytes)
-{
-    return submitNotBefore(eq_.now(), bytes);
-}
-
-Tick
 BandwidthResource::submitNotBefore(Tick earliest, std::uint64_t bytes)
 {
-    Tick start = std::max({earliest, eq_.now(), free_at_});
+    Tick start = std::max(earliest, free_at_);
     Tick service = latency_ + transferTicks(bytes, rate_);
     Tick done = start + service;
     free_at_ = done;
     bytes_served_ += bytes;
     ++requests_;
-    busy_ticks_ += service;
     PIPELLM_AUDIT_HOOK(audit::Auditor::instance().noteService(
-        audit_id_, name_, eq_.now(), start, done, bytes));
+        audit_id_, name_, start, done, bytes));
     if (downstream_) {
         // Cut-through into the shared stage: the downstream begins
         // draining the moment this stage starts, so an uncontended
@@ -51,31 +45,13 @@ BandwidthResource::submitNotBefore(Tick earliest, std::uint64_t bytes)
     return done;
 }
 
-Tick
-BandwidthResource::submit(std::uint64_t bytes, EventFn &&fn)
-{
-    Tick done = submit(bytes);
-    eq_.schedule(done, std::move(fn));
-    return done;
-}
-
-double
-BandwidthResource::utilization() const
-{
-    Tick horizon = std::max(eq_.now(), free_at_);
-    if (horizon == 0)
-        return 0.0;
-    return double(busy_ticks_) / double(horizon);
-}
-
-LaneGroup::LaneGroup(EventQueue &eq, std::string name, unsigned lanes,
+LaneGroup::LaneGroup(std::string name, unsigned lanes,
                      double bytes_per_sec_per_lane, Tick per_op_latency)
-    : eq_(eq)
 {
     PIPELLM_ASSERT(lanes > 0, "lane group needs at least one lane");
     lanes_.reserve(lanes);
     for (unsigned i = 0; i < lanes; ++i) {
-        lanes_.emplace_back(eq, name + "[" + std::to_string(i) + "]",
+        lanes_.emplace_back(name + "[" + std::to_string(i) + "]",
                             bytes_per_sec_per_lane, per_op_latency);
     }
 }
@@ -92,12 +68,6 @@ LaneGroup::pickLane()
 }
 
 Tick
-LaneGroup::submit(std::uint64_t bytes)
-{
-    return pickLane().submit(bytes);
-}
-
-Tick
 LaneGroup::submitNotBefore(Tick earliest, std::uint64_t bytes)
 {
     return pickLane().submitNotBefore(earliest, bytes);
@@ -106,10 +76,9 @@ LaneGroup::submitNotBefore(Tick earliest, std::uint64_t bytes)
 Tick
 LaneGroup::submitNotBeforeBestFit(Tick earliest, std::uint64_t bytes)
 {
-    Tick floor = std::max(earliest, eq_.now());
     BandwidthResource *best = nullptr;
     for (auto &lane : lanes_) {
-        if (lane.freeAt() > floor)
+        if (lane.freeAt() > earliest)
             continue;
         // Latest-free among the lanes that can start on time: the
         // tightest fit wastes the least idle capacity.
@@ -121,15 +90,7 @@ LaneGroup::submitNotBeforeBestFit(Tick earliest, std::uint64_t bytes)
         // frees up first.
         best = &pickLane();
     }
-    return best->submitNotBefore(floor, bytes);
-}
-
-Tick
-LaneGroup::submit(std::uint64_t bytes, EventFn &&fn)
-{
-    Tick done = submit(bytes);
-    eq_.schedule(done, std::move(fn));
-    return done;
+    return best->submitNotBefore(earliest, bytes);
 }
 
 Tick
@@ -150,8 +111,7 @@ LaneGroup::bytesServed() const
     return total;
 }
 
-SerialTimeline::SerialTimeline(EventQueue &eq, std::string name)
-    : eq_(eq), name_(std::move(name))
+SerialTimeline::SerialTimeline(std::string name) : name_(std::move(name))
 {
     PIPELLM_AUDIT_HOOK(audit_id_ = audit::Auditor::instance().newId());
 }
@@ -159,28 +119,13 @@ SerialTimeline::SerialTimeline(EventQueue &eq, std::string name)
 Tick
 SerialTimeline::submit(Tick earliest, Tick duration)
 {
-    Tick start = std::max({earliest, eq_.now(), free_at_});
+    Tick start = std::max(earliest, free_at_);
     free_at_ = start + duration;
     busy_ticks_ += duration;
     ++requests_;
     PIPELLM_AUDIT_HOOK(audit::Auditor::instance().noteService(
-        audit_id_, name_, eq_.now(), start, free_at_, 0));
+        audit_id_, name_, start, free_at_, 0));
     return free_at_;
-}
-
-Tick
-SerialTimeline::submitNow(Tick duration)
-{
-    return submit(eq_.now(), duration);
-}
-
-double
-SerialTimeline::utilization() const
-{
-    Tick horizon = std::max(eq_.now(), free_at_);
-    if (horizon == 0)
-        return 0.0;
-    return double(busy_ticks_) / double(horizon);
 }
 
 } // namespace sim

@@ -3,6 +3,12 @@
  * Timed hardware resources: serialized bandwidth servers and lane
  * groups.
  *
+ * Every resource is a reservation timeline. It remembers the tick at
+ * which it next falls idle; a submission with a start floor is served
+ * from max(floor, free-at) and returns its completion tick. There is
+ * no global clock: callers carry their own time and pass it in as the
+ * floor.
+ *
  * A BandwidthResource models a device that serves requests one at a
  * time at a fixed byte rate plus a fixed per-request latency: a PCIe
  * link, a copy engine, one CPU encryption thread. A LaneGroup models k
@@ -26,7 +32,6 @@
 #include <vector>
 
 #include "common/units.hh"
-#include "sim/event_queue.hh"
 
 namespace pipellm {
 namespace sim {
@@ -36,32 +41,22 @@ class BandwidthResource
 {
   public:
     /**
-     * @param eq event queue providing the clock
      * @param name for diagnostics
      * @param bytes_per_sec service rate
      * @param per_op_latency fixed overhead added to every request
      */
-    BandwidthResource(EventQueue &eq, std::string name,
-                      double bytes_per_sec, Tick per_op_latency = 0);
+    BandwidthResource(std::string name, double bytes_per_sec,
+                      Tick per_op_latency = 0);
 
     /**
-     * Enqueue a request of @p bytes arriving now; returns its
-     * completion tick. Requests are served strictly in submission
-     * order.
+     * Reserve service for a request of @p bytes that cannot start
+     * before @p earliest; returns its completion tick. Requests are
+     * served strictly in submission order.
      */
-    Tick submit(std::uint64_t bytes);
-
-    /** Enqueue a request that cannot start before @p earliest. */
     Tick submitNotBefore(Tick earliest, std::uint64_t bytes);
-
-    /** submit() and fire @p fn at the completion tick. */
-    Tick submit(std::uint64_t bytes, EventFn &&fn);
 
     /** Tick at which the resource next becomes idle. */
     Tick freeAt() const { return free_at_; }
-
-    /** True if a request submitted now would start immediately. */
-    bool idle() const { return free_at_ <= eq_.now(); }
 
     double rate() const { return rate_; }
     void setRate(double bytes_per_sec) { rate_ = bytes_per_sec; }
@@ -91,21 +86,13 @@ class BandwidthResource
     /** Total requests served. */
     std::uint64_t requests() const { return requests_; }
 
-    /** Accumulated busy time (service, not queueing). */
-    Tick busyTicks() const { return busy_ticks_; }
-
-    /** Mean utilization over [0, now]. */
-    double utilization() const;
-
   private:
-    EventQueue &eq_;
     std::string name_;
     double rate_;
     Tick latency_;
     Tick free_at_ = 0;
     std::uint64_t bytes_served_ = 0;
     std::uint64_t requests_ = 0;
-    Tick busy_ticks_ = 0;
     BandwidthResource *downstream_ = nullptr;
     std::uint64_t audit_id_ = 0;
 };
@@ -118,13 +105,13 @@ class BandwidthResource
 class LaneGroup
 {
   public:
-    LaneGroup(EventQueue &eq, std::string name, unsigned lanes,
+    LaneGroup(std::string name, unsigned lanes,
               double bytes_per_sec_per_lane, Tick per_op_latency = 0);
 
-    /** Dispatch @p bytes to the earliest-free lane; completion tick. */
-    Tick submit(std::uint64_t bytes);
-
-    /** Dispatch with a start-time floor. */
+    /**
+     * Dispatch @p bytes to the earliest-free lane, starting no
+     * earlier than @p earliest; completion tick.
+     */
     Tick submitNotBefore(Tick earliest, std::uint64_t bytes);
 
     /**
@@ -138,9 +125,6 @@ class LaneGroup
      * a single lane.
      */
     Tick submitNotBeforeBestFit(Tick earliest, std::uint64_t bytes);
-
-    /** Dispatch and fire @p fn at completion. */
-    Tick submit(std::uint64_t bytes, EventFn &&fn);
 
     unsigned lanes() const { return unsigned(lanes_.size()); }
 
@@ -156,7 +140,6 @@ class LaneGroup
   private:
     BandwidthResource &pickLane();
 
-    EventQueue &eq_;
     std::vector<BandwidthResource> lanes_;
 };
 
@@ -168,20 +151,14 @@ class LaneGroup
 class SerialTimeline
 {
   public:
-    SerialTimeline(EventQueue &eq, std::string name);
+    explicit SerialTimeline(std::string name);
 
     /** Occupy the resource for @p duration, not before @p earliest. */
     Tick submit(Tick earliest, Tick duration);
 
-    /** Occupy starting now. */
-    Tick submitNow(Tick duration);
-
     Tick freeAt() const { return free_at_; }
     Tick busyTicks() const { return busy_ticks_; }
     std::uint64_t requests() const { return requests_; }
-
-    /** Mean utilization over [0, max(now, freeAt)]. */
-    double utilization() const;
 
     const std::string &name() const { return name_; }
 
@@ -189,7 +166,6 @@ class SerialTimeline
     std::uint64_t auditId() const { return audit_id_; }
 
   private:
-    EventQueue &eq_;
     std::string name_;
     Tick free_at_ = 0;
     Tick busy_ticks_ = 0;

@@ -15,7 +15,6 @@
 #include "crypto/channel.hh"
 #include "gpu/device.hh"
 #include "pipellm/pipellm_runtime.hh"
-#include "sim/event_queue.hh"
 
 using namespace pipellm;
 using audit::Auditor;
@@ -60,11 +59,10 @@ TEST_F(AuditCryptoFixture, IvReuseAcrossDevicesSharingAChannel)
     // Two devices keyed by ONE channel: each expects counter 0, so
     // both transfers verify — but the second exposure of (key, IV=0)
     // on the bus is GCM's fatal misuse, and only the auditor sees it.
-    sim::EventQueue eq;
     auto spec = gpu::SystemSpec::h100();
     SecureChannel ch;
-    gpu::GpuDevice a(eq, spec, "a-");
-    gpu::GpuDevice b(eq, spec, "b-");
+    gpu::GpuDevice a(spec, "a-");
+    gpu::GpuDevice b(spec, "b-");
     a.enableCc(&ch);
     b.enableCc(&ch);
     auto ra = a.alloc(1 * MiB, "a-buf");
@@ -83,10 +81,9 @@ TEST_F(AuditCryptoFixture, IvReuseAcrossDevicesSharingAChannel)
 
 TEST_F(AuditCryptoFixture, NewSessionEpochRetiresOldExposures)
 {
-    sim::EventQueue eq;
     auto spec = gpu::SystemSpec::h100();
     SecureChannel ch;
-    gpu::GpuDevice dev(eq, spec);
+    gpu::GpuDevice dev(spec);
     auto r = dev.alloc(1 * MiB, "buf");
     auto pt = pattern(64);
 
@@ -104,10 +101,9 @@ TEST_F(AuditCryptoFixture, NewSessionEpochRetiresOldExposures)
 
 TEST_F(AuditCryptoFixture, D2hProductionCountsAsExposure)
 {
-    sim::EventQueue eq;
     auto spec = gpu::SystemSpec::h100();
     SecureChannel ch;
-    gpu::GpuDevice dev(eq, spec);
+    gpu::GpuDevice dev(spec);
     dev.enableCc(&ch);
     auto r = dev.alloc(1 * MiB, "buf");
 
@@ -120,10 +116,9 @@ TEST_F(AuditCryptoFixture, D2hProductionCountsAsExposure)
 
 TEST_F(AuditCryptoFixture, RetainedReplayAllowedDistinctContentFlagged)
 {
-    sim::EventQueue eq;
     auto spec = gpu::SystemSpec::h100();
     SecureChannel ch;
-    gpu::GpuDevice dev(eq, spec);
+    gpu::GpuDevice dev(spec);
     dev.enableCc(&ch);
     auto r = dev.alloc(1 * MiB, "kv");
     auto content = pattern(128, 7);
@@ -144,10 +139,9 @@ TEST_F(AuditCryptoFixture, RetainedReplayAllowedDistinctContentFlagged)
 
 TEST_F(AuditCryptoFixture, RetainedCollidingWithLockstepFlagged)
 {
-    sim::EventQueue eq;
     auto spec = gpu::SystemSpec::h100();
     SecureChannel ch;
-    gpu::GpuDevice dev(eq, spec);
+    gpu::GpuDevice dev(spec);
     dev.enableCc(&ch);
     auto r = dev.alloc(1 * MiB, "kv");
 

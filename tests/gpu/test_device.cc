@@ -4,7 +4,6 @@
 
 #include "crypto/channel.hh"
 #include "gpu/device.hh"
-#include "sim/event_queue.hh"
 
 using namespace pipellm;
 using namespace pipellm::gpu;
@@ -16,7 +15,6 @@ namespace {
 
 struct DeviceFixture : ::testing::Test
 {
-    sim::EventQueue eq;
     SystemSpec spec = SystemSpec::h100();
     SecureChannel channel;
 
@@ -34,7 +32,7 @@ struct DeviceFixture : ::testing::Test
 
 TEST_F(DeviceFixture, AllocRespectsHbmCapacity)
 {
-    GpuDevice dev(eq, spec);
+    GpuDevice dev(spec);
     auto r = dev.alloc(60 * GiB, "weights");
     EXPECT_EQ(dev.memory().bytesAllocated(), 60 * GiB);
     EXPECT_EXIT(dev.alloc(30 * GiB, "too-much"),
@@ -45,7 +43,7 @@ TEST_F(DeviceFixture, AllocRespectsHbmCapacity)
 
 TEST_F(DeviceFixture, PlainDmaTimingMatchesPcie)
 {
-    GpuDevice dev(eq, spec);
+    GpuDevice dev(spec);
     auto r = dev.alloc(64 * MiB, "buf");
     auto data = pattern(256);
     Tick done = dev.dmaH2dPlain(r.base, data.data(), data.size(),
@@ -57,7 +55,7 @@ TEST_F(DeviceFixture, PlainDmaTimingMatchesPcie)
 
 TEST_F(DeviceFixture, PlainDmaSerializesOnLink)
 {
-    GpuDevice dev(eq, spec);
+    GpuDevice dev(spec);
     auto r = dev.alloc(64 * MiB, "buf");
     Tick a = dev.dmaH2dPlain(r.base, nullptr, 0, 16 * MiB, 0);
     Tick b = dev.dmaH2dPlain(r.base, nullptr, 0, 16 * MiB, 0);
@@ -66,7 +64,7 @@ TEST_F(DeviceFixture, PlainDmaSerializesOnLink)
 
 TEST_F(DeviceFixture, H2dEncryptedRoundTrip)
 {
-    GpuDevice dev(eq, spec);
+    GpuDevice dev(spec);
     dev.enableCc(&channel);
     auto r = dev.alloc(1 * MiB, "kv");
     auto pt = pattern(512);
@@ -81,7 +79,7 @@ TEST_F(DeviceFixture, H2dEncryptedRoundTrip)
 
 TEST_F(DeviceFixture, H2dSequenceAdvancesIvs)
 {
-    GpuDevice dev(eq, spec);
+    GpuDevice dev(spec);
     dev.enableCc(&channel);
     auto r = dev.alloc(1 * MiB, "kv");
     for (std::uint64_t i = 0; i < 5; ++i) {
@@ -96,7 +94,7 @@ TEST_F(DeviceFixture, H2dSequenceAdvancesIvs)
 
 TEST_F(DeviceFixture, WrongIvBlobIsRejected)
 {
-    GpuDevice dev(eq, spec);
+    GpuDevice dev(spec);
     dev.enableCc(&channel);
     auto pt = pattern(64);
     // Sealed with counter 3, but the device expects 0.
@@ -108,7 +106,7 @@ TEST_F(DeviceFixture, WrongIvBlobIsRejected)
 
 TEST_F(DeviceFixture, WrongIvDeliveryPanics)
 {
-    GpuDevice dev(eq, spec);
+    GpuDevice dev(spec);
     dev.enableCc(&channel);
     auto r = dev.alloc(1 * MiB, "kv");
     auto pt = pattern(64);
@@ -118,7 +116,7 @@ TEST_F(DeviceFixture, WrongIvDeliveryPanics)
 
 TEST_F(DeviceFixture, D2hEncryptedProducesOpenableBlob)
 {
-    GpuDevice dev(eq, spec);
+    GpuDevice dev(spec);
     dev.enableCc(&channel);
     auto r = dev.alloc(1 * MiB, "kv");
     auto content = pattern(300, 9);
@@ -138,7 +136,7 @@ TEST_F(DeviceFixture, D2hEncryptedProducesOpenableBlob)
 
 TEST_F(DeviceFixture, CcTransfersKeepDirectionsIndependent)
 {
-    GpuDevice dev(eq, spec);
+    GpuDevice dev(spec);
     dev.enableCc(&channel);
     auto r = dev.alloc(1 * MiB, "kv");
     auto pt = pattern(64);
@@ -153,7 +151,7 @@ TEST_F(DeviceFixture, CcTransfersKeepDirectionsIndependent)
 
 TEST_F(DeviceFixture, KernelDurationRoofline)
 {
-    GpuDevice dev(eq, spec);
+    GpuDevice dev(spec);
     // Compute-bound: 4e12 flops at 400 TFLOPS = 10 ms (+5 us launch).
     KernelDesc heavy{"gemm", 4e12, 1e6};
     EXPECT_NEAR(toMilliseconds(dev.kernelDuration(heavy)), 10.0, 0.1);
@@ -164,7 +162,7 @@ TEST_F(DeviceFixture, KernelDurationRoofline)
 
 TEST_F(DeviceFixture, KernelsSerializeOnComputeEngine)
 {
-    GpuDevice dev(eq, spec);
+    GpuDevice dev(spec);
     KernelDesc k{"step", 4e11, 0}; // 1 ms
     Tick a = dev.launchKernel(k, 0);
     Tick b = dev.launchKernel(k, 0);
@@ -174,7 +172,7 @@ TEST_F(DeviceFixture, KernelsSerializeOnComputeEngine)
 
 TEST_F(DeviceFixture, EnableCcResetsCounters)
 {
-    GpuDevice dev(eq, spec);
+    GpuDevice dev(spec);
     dev.enableCc(&channel);
     auto r = dev.alloc(1 * MiB, "kv");
     auto pt = pattern(64);
@@ -188,7 +186,7 @@ TEST_F(DeviceFixture, EnableCcResetsCounters)
 
 TEST_F(DeviceFixture, NonCcDeviceRefusesEncryptedPath)
 {
-    GpuDevice dev(eq, spec);
+    GpuDevice dev(spec);
     auto pt = pattern(16);
     auto blob = channel.seal(Direction::HostToDevice, 0, pt.data(), 16);
     EXPECT_DEATH(dev.dmaH2dEncrypted(blob, 0x1000, 0), "non-CC device");
@@ -196,7 +194,7 @@ TEST_F(DeviceFixture, NonCcDeviceRefusesEncryptedPath)
 
 TEST_F(DeviceFixture, RetainedCommitVerifiesOriginalIv)
 {
-    GpuDevice dev(eq, spec);
+    GpuDevice dev(spec);
     dev.enableCc(&channel);
     auto r = dev.alloc(1 * MiB, "kv");
     auto pt = pattern(128, 7);
@@ -214,7 +212,7 @@ TEST_F(DeviceFixture, RetainedCommitVerifiesOriginalIv)
 
 TEST_F(DeviceFixture, RetainedCommitRejectsTampering)
 {
-    GpuDevice dev(eq, spec);
+    GpuDevice dev(spec);
     dev.enableCc(&channel);
     auto r = dev.alloc(1 * MiB, "kv");
     auto pt = pattern(64);
@@ -225,7 +223,7 @@ TEST_F(DeviceFixture, RetainedCommitRejectsTampering)
 
 TEST_F(DeviceFixture, SealRetainedUsesCallerCounter)
 {
-    GpuDevice dev(eq, spec);
+    GpuDevice dev(spec);
     dev.enableCc(&channel);
     auto r = dev.alloc(1 * MiB, "kv");
     auto blob = dev.sealRetainedD2h(r.base, 256, 12345);

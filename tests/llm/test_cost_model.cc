@@ -2,7 +2,6 @@
 
 #include "gpu/device.hh"
 #include "llm/cost_model.hh"
-#include "sim/event_queue.hh"
 
 using namespace pipellm;
 using namespace pipellm::llm;
@@ -30,8 +29,7 @@ TEST(CostModel, SmallBatchDecodeIsMemoryBound)
 {
     // At batch 1 the layer weights dominate HBM traffic, so the
     // kernel should be memory-bound on an H100.
-    sim::EventQueue eq;
-    gpu::GpuDevice dev(eq, gpu::SystemSpec::h100());
+    gpu::GpuDevice dev(gpu::SystemSpec::h100());
     CostModel cm(ModelConfig::opt30b());
     auto k = cm.decodeLayerKernel(1, 512);
     double compute_s = k.flops / dev.spec().gpu_flops;
@@ -41,8 +39,7 @@ TEST(CostModel, SmallBatchDecodeIsMemoryBound)
 
 TEST(CostModel, LargeBatchDecodeIsComputeBound)
 {
-    sim::EventQueue eq;
-    gpu::GpuDevice dev(eq, gpu::SystemSpec::h100());
+    gpu::GpuDevice dev(gpu::SystemSpec::h100());
     CostModel cm(ModelConfig::opt30b());
     auto k = cm.decodeLayerKernel(512, 128);
     double compute_s = k.flops / dev.spec().gpu_flops;
@@ -63,8 +60,7 @@ TEST(CostModel, DecodeStepTimeIsPlausible)
     // A full OPT-30B decode step at moderate batch should take tens
     // of milliseconds on an H100 — the scale against which swap
     // stalls are measured.
-    sim::EventQueue eq;
-    gpu::GpuDevice dev(eq, gpu::SystemSpec::h100());
+    gpu::GpuDevice dev(gpu::SystemSpec::h100());
     CostModel cm(ModelConfig::opt30b());
     Tick step = 0;
     for (unsigned l = 0; l < cm.model().num_layers; ++l)

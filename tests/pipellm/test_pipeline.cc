@@ -2,7 +2,6 @@
 
 #include "crypto/engine.hh"
 #include "pipellm/pipeline.hh"
-#include "sim/event_queue.hh"
 
 using namespace pipellm;
 using namespace pipellm::core;
@@ -11,10 +10,9 @@ namespace {
 
 struct PipelineFixture : ::testing::Test
 {
-    sim::EventQueue eq;
     mem::SparseMemory host{"host", 4 * GiB};
     crypto::SecureChannel channel;
-    crypto::CryptoLanes lanes{eq, "enc", 2, 5.8e9};
+    crypto::CryptoLanes lanes{"enc", 2, 5.8e9};
     Predictor predictor;
     PipeLlmConfig config;
 

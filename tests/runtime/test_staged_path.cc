@@ -9,9 +9,8 @@ namespace {
 
 struct StagedFixture : ::testing::Test
 {
-    sim::EventQueue eq;
     gpu::SystemSpec spec = gpu::SystemSpec::h100();
-    sim::BandwidthResource link{eq, "pcie", spec.pcie_h2d_bw,
+    sim::BandwidthResource link{"pcie", spec.pcie_h2d_bw,
                                 spec.pcie_latency};
 };
 
@@ -19,7 +18,7 @@ struct StagedFixture : ::testing::Test
 
 TEST_F(StagedFixture, SmallTransferUsesOneChunk)
 {
-    StagedCopyPath path(eq, spec, link, true);
+    StagedCopyPath path(spec, link, true);
     Tick done = path.transfer(0, 64 * KiB);
     // memcpy at 40 GB/s + DMA at 55 GB/s, sequential for one chunk.
     Tick expect = transferTicks(64 * KiB, spec.cc_copy_bw) +
@@ -30,7 +29,7 @@ TEST_F(StagedFixture, SmallTransferUsesOneChunk)
 
 TEST_F(StagedFixture, LargeTransferPipelinesToCopyRate)
 {
-    StagedCopyPath path(eq, spec, link, true);
+    StagedCopyPath path(spec, link, true);
     const std::uint64_t len = 1 * GiB;
     Tick done = path.transfer(0, len);
     double rate = achievedRate(len, done);
@@ -42,7 +41,7 @@ TEST_F(StagedFixture, LargeTransferPipelinesToCopyRate)
 
 TEST_F(StagedFixture, DeviceToHostDirectionAlsoPipelines)
 {
-    StagedCopyPath path(eq, spec, link, false);
+    StagedCopyPath path(spec, link, false);
     const std::uint64_t len = 512 * MiB;
     Tick done = path.transfer(0, len);
     double rate = achievedRate(len, done);
@@ -51,7 +50,7 @@ TEST_F(StagedFixture, DeviceToHostDirectionAlsoPipelines)
 
 TEST_F(StagedFixture, HonorsEarliestStart)
 {
-    StagedCopyPath path(eq, spec, link, true);
+    StagedCopyPath path(spec, link, true);
     Tick done0 = path.transfer(0, 1 * MiB);
     Tick base = done0 + 1000000;
     Tick done1 = path.transfer(base, 1 * MiB);
@@ -60,7 +59,7 @@ TEST_F(StagedFixture, HonorsEarliestStart)
 
 TEST_F(StagedFixture, BackToBackTransfersShareThePool)
 {
-    StagedCopyPath path(eq, spec, link, true);
+    StagedCopyPath path(spec, link, true);
     Tick a = path.transfer(0, 256 * MiB);
     Tick b = path.transfer(0, 256 * MiB);
     EXPECT_GT(b, a);

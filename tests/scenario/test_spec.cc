@@ -367,3 +367,49 @@ TEST(ScenarioSpec, DisaggKindNeedsRoomForBothRoles)
     ASSERT_TRUE(hog.ok());
     EXPECT_TRUE(anyContains(hog.spec.validate(), "prefill_replicas"));
 }
+
+TEST(ScenarioSpec, ValuesThatWouldCrashTheRunAreRejected)
+{
+    // Each row is a value that, if accepted, would PANIC mid-run or
+    // convert a negative double to ticks or bytes (undefined
+    // behaviour). Non-finite numbers fail to parse; the ranges fail
+    // validate().
+    const std::string base = "[scenario]\n"
+                             "name = s\n"
+                             "kind = soak\n"
+                             "[cluster]\n"
+                             "devices = 2\n"
+                             "modes = Cc\n"
+                             "[soak]\n"
+                             "phase = 8 4 0.8\n";
+    struct Row
+    {
+        const char *lines;
+        const char *message;
+    };
+    const Row rows[] = {
+        {"[trace]\nrate_per_device = nan\n", "bad value 'nan'"},
+        {"[trace]\nrate_per_device = inf\n", "bad value 'inf'"},
+        {"[overload]\nmultipliers = 1 -inf\n", "bad value '-inf'"},
+        {"[soak]\nphase = 8 4 nan\n", "bad value '8 4 nan'"},
+        {"[faults]\nspdm_rekey_ms = -5\n", "spdm_rekey_ms is negative"},
+        {"[faults]\nwarmup_probe_kib = -1\n",
+         "warmup_probe_kib is negative"},
+        {"[faults]\nstorm_start_s = -1\n", "storm_start_s is negative"},
+        {"[overload]\nslo_floor_s = -1\n", "slo_floor_s is negative"},
+        {"[overload]\nslo_per_token_ms = -1\n",
+         "slo_per_token_ms is negative"},
+        {"[overload]\nrate_per_device = 0\n",
+         "[overload] rate_per_device must be positive"},
+    };
+
+    auto problems = [](const std::string &text) {
+        auto parsed = parseScenario(text);
+        return parsed.ok() ? parsed.spec.validate() : parsed.errors;
+    };
+    ASSERT_TRUE(problems(base).empty());
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.lines);
+        EXPECT_TRUE(anyContains(problems(base + row.lines), row.message));
+    }
+}

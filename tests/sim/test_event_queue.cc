@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -11,8 +12,8 @@ TEST(EventQueue, StartsAtZeroAndEmpty)
 {
     EventQueue eq;
     EXPECT_EQ(eq.now(), 0u);
-    EXPECT_TRUE(eq.empty());
-    EXPECT_FALSE(eq.step());
+    eq.run(); // nothing pending: the clock stays put
+    EXPECT_EQ(eq.now(), 0u);
 }
 
 TEST(EventQueue, DispatchesInTimeOrder)
@@ -53,83 +54,6 @@ TEST(EventQueue, CallbacksMayScheduleMoreEvents)
     EXPECT_EQ(eq.now(), 40u);
 }
 
-TEST(EventQueue, RunUntilStopsAtDeadline)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(10, [&] { ++fired; });
-    eq.schedule(20, [&] { ++fired; });
-    eq.schedule(30, [&] { ++fired; });
-    eq.runUntil(20);
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(eq.now(), 20u);
-    EXPECT_EQ(eq.pending(), 1u);
-    eq.run();
-    EXPECT_EQ(fired, 3);
-}
-
-TEST(EventQueue, RunUntilAdvancesClockWhenIdle)
-{
-    EventQueue eq;
-    eq.runUntil(1000);
-    EXPECT_EQ(eq.now(), 1000u);
-}
-
-TEST(EventQueue, RunUntilFiresEventExactlyAtDeadline)
-{
-    // The deadline is inclusive: an event at exactly the deadline tick
-    // belongs to this quantum, not the next.
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(20, [&] { ++fired; });
-    eq.runUntil(20);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.now(), 20u);
-    EXPECT_EQ(eq.pending(), 0u);
-}
-
-TEST(EventQueue, RunUntilDrainsReentrantSchedulingAtNow)
-{
-    // A deadline event that schedules more work at now() must see
-    // that work dispatched within the same runUntil call — the
-    // deadline check re-evaluates after every step.
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(20, [&] {
-        order.push_back(1);
-        eq.schedule(eq.now(), [&] {
-            order.push_back(2);
-            eq.schedule(eq.now(), [&] { order.push_back(3); });
-        });
-    });
-    eq.runUntil(20);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(eq.now(), 20u);
-    EXPECT_EQ(eq.pending(), 0u);
-}
-
-TEST(EventQueue, RunUntilLeavesEventsOneTickPastDeadline)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(21, [&] { ++fired; });
-    eq.runUntil(20);
-    EXPECT_EQ(fired, 0);
-    EXPECT_EQ(eq.now(), 20u);
-    EXPECT_EQ(eq.pending(), 1u);
-}
-
-TEST(EventQueue, RunUntilInThePastIsANoOp)
-{
-    EventQueue eq;
-    eq.runUntil(100);
-    int fired = 0;
-    eq.schedule(200, [&] { ++fired; });
-    eq.runUntil(50); // earlier than now(): nothing fires, no rewind
-    EXPECT_EQ(eq.now(), 100u);
-    EXPECT_EQ(fired, 0);
-}
-
 TEST(EventQueue, ScheduleInUsesCurrentTime)
 {
     EventQueue eq;
@@ -139,15 +63,6 @@ TEST(EventQueue, ScheduleInUsesCurrentTime)
     });
     eq.run();
     EXPECT_EQ(seen, 150u);
-}
-
-TEST(EventQueue, CountsDispatchedEvents)
-{
-    EventQueue eq;
-    for (int i = 0; i < 7; ++i)
-        eq.schedule(i, [] {});
-    eq.run();
-    EXPECT_EQ(eq.dispatched(), 7u);
 }
 
 TEST(EventQueueDeath, SchedulingIntoThePastPanics)

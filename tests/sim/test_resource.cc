@@ -1,20 +1,17 @@
 #include <gtest/gtest.h>
 
 #include "common/units.hh"
-#include "sim/event_queue.hh"
 #include "sim/resource.hh"
 
 using namespace pipellm;
 using sim::BandwidthResource;
-using sim::EventQueue;
 using sim::LaneGroup;
 
 TEST(BandwidthResource, SingleRequestTiming)
 {
-    EventQueue eq;
     // 1 GB/s, 100 ns per-op latency.
-    BandwidthResource link(eq, "link", 1e9, 100);
-    Tick done = link.submit(1000); // 1000 bytes -> 1000 ns
+    BandwidthResource link("link", 1e9, 100);
+    Tick done = link.submitNotBefore(0, 1000); // 1000 bytes -> 1000 ns
     EXPECT_EQ(done, 1100u);
     EXPECT_EQ(link.bytesServed(), 1000u);
     EXPECT_EQ(link.requests(), 1u);
@@ -22,95 +19,67 @@ TEST(BandwidthResource, SingleRequestTiming)
 
 TEST(BandwidthResource, BackToBackRequestsSerialize)
 {
-    EventQueue eq;
-    BandwidthResource link(eq, "link", 1e9, 0);
-    Tick a = link.submit(1000);
-    Tick b = link.submit(1000);
+    BandwidthResource link("link", 1e9, 0);
+    Tick a = link.submitNotBefore(0, 1000);
+    Tick b = link.submitNotBefore(0, 1000);
     EXPECT_EQ(a, 1000u);
     EXPECT_EQ(b, 2000u);
-    EXPECT_FALSE(link.idle());
-}
-
-TEST(BandwidthResource, IdleGapResetsStart)
-{
-    EventQueue eq;
-    BandwidthResource link(eq, "link", 1e9, 0);
-    link.submit(1000); // busy until 1000
-    eq.runUntil(5000);
-    Tick done = link.submit(500);
-    EXPECT_EQ(done, 5500u);
-    EXPECT_TRUE(link.utilization() < 0.5);
+    EXPECT_EQ(link.freeAt(), 2000u);
 }
 
 TEST(BandwidthResource, SubmitNotBeforeHonorsFloor)
 {
-    EventQueue eq;
-    BandwidthResource link(eq, "link", 1e9, 0);
+    BandwidthResource link("link", 1e9, 0);
     Tick done = link.submitNotBefore(2000, 100);
     EXPECT_EQ(done, 2100u);
 }
 
-TEST(BandwidthResource, CallbackFiresAtCompletion)
-{
-    EventQueue eq;
-    BandwidthResource link(eq, "link", 1e9, 0);
-    Tick seen = 0;
-    link.submit(1234, [&] { seen = eq.now(); });
-    eq.run();
-    EXPECT_EQ(seen, 1234u);
-}
-
 TEST(BandwidthResource, ZeroByteRequestCostsOnlyLatency)
 {
-    EventQueue eq;
-    BandwidthResource link(eq, "link", 1e9, 250);
-    EXPECT_EQ(link.submit(0), 250u);
+    BandwidthResource link("link", 1e9, 250);
+    EXPECT_EQ(link.submitNotBefore(0, 0), 250u);
 }
 
 TEST(BandwidthResource, NoDownstreamByDefault)
 {
-    EventQueue eq;
-    BandwidthResource link(eq, "link", 1e9, 0);
+    BandwidthResource link("link", 1e9, 0);
     EXPECT_EQ(link.downstream(), nullptr);
 }
 
 TEST(BandwidthResource, ChainedDownstreamIsCutThrough)
 {
-    EventQueue eq;
     // A fast upstream draining into a slower shared stage: the
     // downstream starts when the upstream starts, so an uncontended
     // request finishes at whichever stage is slower.
-    BandwidthResource bridge(eq, "bridge", 1e9, 0);
-    BandwidthResource link(eq, "link", 2e9, 0);
+    BandwidthResource bridge("bridge", 1e9, 0);
+    BandwidthResource link("link", 2e9, 0);
     link.setDownstream(&bridge);
-    EXPECT_EQ(link.submit(1000), 1000u); // bridge is the bottleneck
+    EXPECT_EQ(link.submitNotBefore(0, 1000), 1000u); // bridge is the bottleneck
     EXPECT_EQ(bridge.bytesServed(), 1000u);
 }
 
 TEST(BandwidthResource, ChainedDownstreamFasterThanUpstream)
 {
-    EventQueue eq;
     // When the shared stage has headroom, the per-device link governs
     // and the chain costs nothing extra.
-    BandwidthResource bridge(eq, "bridge", 4e9, 0);
-    BandwidthResource link(eq, "link", 1e9, 0);
+    BandwidthResource bridge("bridge", 4e9, 0);
+    BandwidthResource link("link", 1e9, 0);
     link.setDownstream(&bridge);
-    EXPECT_EQ(link.submit(1000), 1000u);
+    EXPECT_EQ(link.submitNotBefore(0, 1000), 1000u);
 }
 
 TEST(BandwidthResource, SharedDownstreamSerializesSiblings)
 {
-    EventQueue eq;
     // Two private links funnel through one bridge of the same rate:
     // each transfer alone takes 1000 ticks, but the aggregate is
     // bridge-bound, so the second finishes at 2000.
-    BandwidthResource bridge(eq, "bridge", 1e9, 0);
-    BandwidthResource a(eq, "a", 1e9, 0);
-    BandwidthResource b(eq, "b", 1e9, 0);
+    BandwidthResource bridge("bridge", 1e9, 0);
+    BandwidthResource a("a", 1e9, 0);
+    BandwidthResource b("b", 1e9, 0);
     a.setDownstream(&bridge);
     b.setDownstream(&bridge);
-    EXPECT_EQ(a.submit(1000), 1000u);
-    EXPECT_EQ(b.submit(1000), 2000u);
+    EXPECT_EQ(a.submitNotBefore(0, 1000), 1000u);
+    EXPECT_EQ(b.submitNotBefore(0, 1000), 2000u);
     EXPECT_EQ(bridge.bytesServed(), 2000u);
     // Each private link only accounted its own bytes.
     EXPECT_EQ(a.bytesServed(), 1000u);
@@ -119,61 +88,56 @@ TEST(BandwidthResource, SharedDownstreamSerializesSiblings)
 
 TEST(BandwidthResource, WideSharedDownstreamAddsNothing)
 {
-    EventQueue eq;
     // A bridge with 2x the aggregate rate never binds two links.
-    BandwidthResource bridge(eq, "bridge", 2e9, 0);
-    BandwidthResource a(eq, "a", 1e9, 0);
-    BandwidthResource b(eq, "b", 1e9, 0);
+    BandwidthResource bridge("bridge", 2e9, 0);
+    BandwidthResource a("a", 1e9, 0);
+    BandwidthResource b("b", 1e9, 0);
     a.setDownstream(&bridge);
     b.setDownstream(&bridge);
-    EXPECT_EQ(a.submit(1000), 1000u);
-    EXPECT_EQ(b.submit(1000), 1000u);
+    EXPECT_EQ(a.submitNotBefore(0, 1000), 1000u);
+    EXPECT_EQ(b.submitNotBefore(0, 1000), 1000u);
 }
 
 TEST(LaneGroup, DistributesAcrossLanes)
 {
-    EventQueue eq;
-    LaneGroup lanes(eq, "enc", 4, 1e9, 0);
+    LaneGroup lanes("enc", 4, 1e9, 0);
     // Four equal jobs land on four lanes and finish simultaneously.
     for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(lanes.submit(1000), 1000u);
+        EXPECT_EQ(lanes.submitNotBefore(0, 1000), 1000u);
     // Fifth job queues behind the earliest lane.
-    EXPECT_EQ(lanes.submit(1000), 2000u);
+    EXPECT_EQ(lanes.submitNotBefore(0, 1000), 2000u);
     EXPECT_EQ(lanes.bytesServed(), 5000u);
 }
 
 TEST(LaneGroup, AggregateThroughputScalesWithLanes)
 {
-    EventQueue eq;
-    LaneGroup one(eq, "enc1", 1, 1e9, 0);
-    LaneGroup four(eq, "enc4", 4, 1e9, 0);
+    LaneGroup one("enc1", 1, 1e9, 0);
+    LaneGroup four("enc4", 4, 1e9, 0);
     Tick t1 = 0, t4 = 0;
     for (int i = 0; i < 16; ++i) {
-        t1 = one.submit(1000000);
-        t4 = four.submit(1000000);
+        t1 = one.submitNotBefore(0, 1000000);
+        t4 = four.submitNotBefore(0, 1000000);
     }
     EXPECT_NEAR(double(t1) / double(t4), 4.0, 0.01);
 }
 
 TEST(LaneGroup, SaturationKeepsLanesBalanced)
 {
-    EventQueue eq;
-    LaneGroup lanes(eq, "enc", 3, 1e9, 0);
+    LaneGroup lanes("enc", 3, 1e9, 0);
     // Earliest-free dispatch under saturation must not starve any
     // lane: equal jobs spread evenly.
     for (int i = 0; i < 30; ++i)
-        lanes.submit(1000);
+        lanes.submitNotBefore(0, 1000);
     for (unsigned l = 0; l < lanes.lanes(); ++l)
         EXPECT_EQ(lanes.lane(l).bytesServed(), 10u * 1000u);
 }
 
 TEST(LaneGroup, SaturatedClientsInterleaveFairly)
 {
-    EventQueue eq;
     // Two clients hammering one saturated group alternate service:
     // neither can lock the pool, so their completion times stay within
     // one service quantum of each other.
-    LaneGroup pool(eq, "pool", 1, 1e9, 0);
+    LaneGroup pool("pool", 1, 1e9, 0);
     Tick a = 0, b = 0;
     for (int i = 0; i < 8; ++i) {
         a = pool.submitNotBefore(0, 1000);
@@ -185,8 +149,7 @@ TEST(LaneGroup, SaturatedClientsInterleaveFairly)
 
 TEST(LaneGroup, BestFitKeepsSerialChainOnOneLane)
 {
-    EventQueue eq;
-    LaneGroup pool(eq, "pool", 3, 1e9, 0);
+    LaneGroup pool("pool", 3, 1e9, 0);
     // A serial chain (each request floored at the previous one's
     // completion) must stay on a single lane under best-fit dispatch:
     // lanes never backfill, so letting the chain rotate would mark
@@ -205,8 +168,7 @@ TEST(LaneGroup, BestFitKeepsSerialChainOnOneLane)
 
 TEST(LaneGroup, BestFitQueuesOnEarliestWhenAllLanesBusy)
 {
-    EventQueue eq;
-    LaneGroup pool(eq, "pool", 2, 1e9, 0);
+    LaneGroup pool("pool", 2, 1e9, 0);
     pool.submitNotBeforeBestFit(0, 1000); // lane busy until 1000
     pool.submitNotBeforeBestFit(0, 3000); // lane busy until 3000
     // No lane can start at t=0; the request queues on the lane that
@@ -216,8 +178,7 @@ TEST(LaneGroup, BestFitQueuesOnEarliestWhenAllLanesBusy)
 
 TEST(LaneGroup, BestFitPrefersTightestFit)
 {
-    EventQueue eq;
-    LaneGroup pool(eq, "pool", 2, 1e9, 0);
+    LaneGroup pool("pool", 2, 1e9, 0);
     pool.submitNotBeforeBestFit(0, 1000); // lane 0 busy until 1000
     // Floor 2000: both lanes can start on time; the busier lane (free
     // at 1000) is the tighter fit, preserving lane 1's availability
@@ -228,19 +189,17 @@ TEST(LaneGroup, BestFitPrefersTightestFit)
 
 TEST(LaneGroup, EarliestFreeTracksLanes)
 {
-    EventQueue eq;
-    LaneGroup lanes(eq, "enc", 2, 1e9, 0);
+    LaneGroup lanes("enc", 2, 1e9, 0);
     EXPECT_EQ(lanes.earliestFree(), 0u);
-    lanes.submit(1000);
+    lanes.submitNotBefore(0, 1000);
     EXPECT_EQ(lanes.earliestFree(), 0u); // second lane idle
-    lanes.submit(2000);
+    lanes.submitNotBefore(0, 2000);
     EXPECT_EQ(lanes.earliestFree(), 1000u);
 }
 
 TEST(SerialTimeline, SerializesDurations)
 {
-    EventQueue eq;
-    sim::SerialTimeline t(eq, "compute");
+    sim::SerialTimeline t("compute");
     EXPECT_EQ(t.submit(0, 1000), 1000u);
     EXPECT_EQ(t.submit(0, 500), 1500u);
     EXPECT_EQ(t.freeAt(), 1500u);
@@ -250,26 +209,8 @@ TEST(SerialTimeline, SerializesDurations)
 
 TEST(SerialTimeline, HonorsEarliestStart)
 {
-    EventQueue eq;
-    sim::SerialTimeline t(eq, "compute");
+    sim::SerialTimeline t("compute");
     EXPECT_EQ(t.submit(5000, 100), 5100u);
     // Back-filled request still queues behind the later one.
     EXPECT_EQ(t.submit(0, 100), 5200u);
-}
-
-TEST(SerialTimeline, UtilizationTracksGaps)
-{
-    EventQueue eq;
-    sim::SerialTimeline t(eq, "compute");
-    t.submit(0, 1000);
-    t.submit(3000, 1000); // idle gap [1000, 3000)
-    EXPECT_DOUBLE_EQ(t.utilization(), 2000.0 / 4000.0);
-}
-
-TEST(SerialTimeline, SubmitNowUsesClock)
-{
-    EventQueue eq;
-    sim::SerialTimeline t(eq, "compute");
-    eq.runUntil(750);
-    EXPECT_EQ(t.submitNow(250), 1000u);
 }

@@ -270,7 +270,7 @@ def check_bare_mutex(ctx):
             "src/common/mutex.hh",
         },
         "bare std mutex/lock primitive; use the capability-annotated "
-        "wrappers from common/mutex.hh (sim::Mutex/sim::LockGuard)",
+        "wrappers from common/mutex.hh (common::Mutex/common::LockGuard)",
     )(ctx)
 
 
